@@ -41,7 +41,7 @@ fi
 {
   echo "=== ZoFS/Treasury reproduction: full benchmark run ==="
   echo "date: $(date -u)"
-  echo "host: single-core Xeon @2.1GHz VM, 16GB RAM, DRAM-backed simulated NVM"
+  echo "host: $(nproc) core(s), DRAM-backed simulated NVM"
   echo "cost model: kernel_crossing=300ns clwb=30ns/line sfence=100ns nova_index=250ns"
   echo
   for b in "${BENCHES[@]}"; do
@@ -54,6 +54,6 @@ fi
   echo "=== benchmark run complete: $(date -u) ==="
 } > /root/repo/build/bench_output.txt 2>&1
 
-# Machine-readable multicore scalability sweep (sharded vs global-lock).
+# Machine-readable multicore scalability sweep.
 ./build/tools/bench_json /root/repo/build/BENCH_10.json > /dev/null
 echo "run_benches.sh: wrote build/bench_output.txt and build/BENCH_10.json"

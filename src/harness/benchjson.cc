@@ -1,6 +1,5 @@
 #include "src/harness/benchjson.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <cstdio>
 #include <sstream>
@@ -107,7 +106,6 @@ std::string TreeFor(Kernel k, Scope scope, int thread) {
 struct Point {
   Kernel kernel;
   Scope scope;
-  bool sharded;
   int threads;
   uint64_t ops = 0;
   double seconds = 0;
@@ -136,19 +134,15 @@ struct Point {
   uint64_t reaped_mappings = 0;
   uint64_t reaped_grant_pages = 0;
   uint64_t reaped_lists = 0;
-  // MPK key virtualization (schema v5). Evictions and retagged pages are
-  // deltas over the measured phase; the legacy allocator charges its
-  // whole-coffer evictions to the same key_evictions axis so the
-  // virtualized-vs-legacy comparison reads off one field. key_class_count is
-  // the live protection-class population at the end of the run (0 under the
-  // legacy allocator, which never forms classes).
+  // MPK key virtualization. Evictions and retagged pages are deltas over the
+  // measured phase; key_class_count is the live protection-class population
+  // at the end of the run.
   uint64_t key_evictions = 0;
   uint64_t key_retag_pages = 0;
   uint64_t key_class_count = 0;
 };
 
-Point RunPoint(Kernel kernel, Scope scope, bool sharded, int threads,
-               const BenchJsonOptions& opts) {
+Point RunPoint(Kernel kernel, Scope scope, int threads, const BenchJsonOptions& opts) {
   // Without the pin, a thread descheduled past a lease window re-leases with
   // an extra PersistRange and the clwb/sfence counters drift by ±1 between
   // runs. Latency measurement and the cost-model busy-waits read the
@@ -156,25 +150,13 @@ Point RunPoint(Kernel kernel, Scope scope, bool sharded, int threads,
   common::ScopedClockPin pin(1'000'000'000ull + opts.seed);
   LabOptions lopts;
   lopts.dev_bytes = opts.dev_bytes;
-  lopts.zofs_state_shards = sharded ? 16 : 1;
-  lopts.zofs_session_cache = sharded;
-  // The globallock baseline also runs with synchronous crossings, so the
-  // sharded-vs-globallock comparison covers channels-vs-no-channels too.
-  lopts.zofs_sync_crossings = !sharded;
-  // Key-pressure sweeps pit the virtualized allocator (sharded points)
-  // against the legacy one-key-per-coffer path (globallock points), which
-  // thrashes through whole-coffer evictions once 64 coffers fight over 15
-  // keys. The ordinary kernels stay virtualized in both modes (≤ 9 classes,
-  // no pressure either way).
-  if (IsTableKernel(kernel)) lopts.zofs_key_virtualization = sharded;
   FsLab lab(FsKind::kZofs, lopts);
   vfs::FileSystem* fs = lab.View(0);
   auto* fslib = static_cast<fslib::FsLib*>(fs);
 
   // ---- setup (not measured) ----
   if (IsTableKernel(kernel)) {
-    // 64 directory coffers. Under the legacy allocator this already thrashes
-    // during setup (64 coffers > 15 keys); the deltas below start after it.
+    // 64 directory coffers; the deltas below start after their set-up.
     for (int d = 0; d < kTableDirs; d++) {
       auto s = fs->Mkdir(kCred, TreeFor(kernel, scope, d), TableModeFor(kernel, d));
       CHECK_OK(s);
@@ -310,8 +292,7 @@ Point RunPoint(Kernel kernel, Scope scope, bool sharded, int threads,
       case Kernel::kTable4:
         // Churn spread over the 64 directory coffers: op i targets dir
         // (i/16) % 64, so the working class changes every 16 ops. Under the
-        // key window a class fault costs one retag crossing per run; the
-        // legacy path pays a whole-coffer unmap/remap storm instead.
+        // key window a class fault costs one retag crossing per run.
         for (uint64_t i = 0; i < opts.ops_per_thread; i++) {
           const int d = static_cast<int>((i / kTableRunLen) %
                                          static_cast<uint64_t>(kTableDirs));
@@ -336,7 +317,6 @@ Point RunPoint(Kernel kernel, Scope scope, bool sharded, int threads,
   Point p;
   p.kernel = kernel;
   p.scope = scope;
-  p.sharded = sharded;
   p.threads = threads;
   p.ops = wr.total_ops;
   p.seconds = wr.seconds;
@@ -382,7 +362,6 @@ void EmitPoint(std::ostringstream& out, const Point& p, bool first) {
   }
   out << "    {\"workload\": \"" << KernelName(p.kernel) << "\", "
       << "\"coffers\": \"" << (p.scope == Scope::kPrivate ? "private" : "shared") << "\", "
-      << "\"mode\": \"" << (p.sharded ? "sharded" : "globallock") << "\", "
       << "\"threads\": " << p.threads << ",\n"
       << "     \"ops\": " << p.ops << ", \"seconds\": " << Fmt(p.seconds)
       << ", \"ops_per_sec\": " << Fmt(p.ops_per_sec) << ",\n"
@@ -421,7 +400,7 @@ void EmitPoint(std::ostringstream& out, const Point& p, bool first) {
 std::string RunBenchJson(const BenchJsonOptions& opts) {
   std::ostringstream out;
   out << "{\n";
-  out << "  \"schema\": \"zofs-bench-scale-v5\",\n";
+  out << "  \"schema\": \"zofs-bench-scale-v6\",\n";
   out << "  \"host_cores\": " << std::thread::hardware_concurrency() << ",\n";
   out << "  \"config\": {\"ops_per_thread\": " << opts.ops_per_thread
       << ", \"seed\": " << opts.seed << ", \"dev_bytes\": " << opts.dev_bytes
@@ -437,18 +416,13 @@ std::string RunBenchJson(const BenchJsonOptions& opts) {
         << "},\n";
   }
 
-  std::vector<Point> points;
   out << "  \"sweep\": [\n";
   bool first = true;
   for (Kernel kernel : kAllKernels) {
     for (Scope scope : {Scope::kPrivate, Scope::kShared}) {
-      for (bool sharded : {true, false}) {
-        for (int threads : opts.thread_counts) {
-          Point p = RunPoint(kernel, scope, sharded, threads, opts);
-          points.push_back(p);
-          EmitPoint(out, p, first);
-          first = false;
-        }
+      for (int threads : opts.thread_counts) {
+        EmitPoint(out, RunPoint(kernel, scope, threads, opts), first);
+        first = false;
       }
     }
   }
@@ -457,48 +431,8 @@ std::string RunBenchJson(const BenchJsonOptions& opts) {
   // deterministic-counter invariant (concurrency under key pressure is
   // covered by the scalability tests and zofs_soak --key-pressure).
   for (Kernel kernel : kTableKernels) {
-    for (bool sharded : {true, false}) {
-      Point p = RunPoint(kernel, Scope::kPrivate, sharded, /*threads=*/1, opts);
-      points.push_back(p);
-      EmitPoint(out, p, first);
-      first = false;
-    }
-  }
-  out << "\n  ],\n";
-
-  // Derived scalability summary: sharded vs globallock at the highest thread
-  // count. On a single-core host the throughput ratio reflects reduced
-  // serialization, not parallelism; locks_per_op is exact on any host.
-  out << "  \"derived\": [\n";
-  const int max_threads =
-      *std::max_element(opts.thread_counts.begin(), opts.thread_counts.end());
-  bool dfirst = true;
-  for (Kernel kernel : kAllKernels) {
-    for (Scope scope : {Scope::kPrivate, Scope::kShared}) {
-      const Point* shd = nullptr;
-      const Point* gbl = nullptr;
-      for (const Point& p : points) {
-        if (p.kernel == kernel && p.scope == scope && p.threads == max_threads) {
-          (p.sharded ? shd : gbl) = &p;
-        }
-      }
-      if (shd == nullptr || gbl == nullptr) {
-        continue;
-      }
-      if (!dfirst) {
-        out << ",\n";
-      }
-      dfirst = false;
-      out << "    {\"workload\": \"" << KernelName(kernel) << "\", \"coffers\": \""
-          << (scope == Scope::kPrivate ? "private" : "shared")
-          << "\", \"threads\": " << max_threads
-          << ", \"throughput_sharded_over_globallock\": "
-          << Fmt(gbl->ops_per_sec > 0 ? shd->ops_per_sec / gbl->ops_per_sec : 0) << ",\n"
-          << "     \"locks_per_op_sharded\": "
-          << Fmt(PerOp(shd->shard_lock_acquisitions, shd->ops))
-          << ", \"locks_per_op_globallock\": "
-          << Fmt(PerOp(gbl->shard_lock_acquisitions, gbl->ops)) << "}";
-    }
+    EmitPoint(out, RunPoint(kernel, Scope::kPrivate, /*threads=*/1, opts), first);
+    first = false;
   }
   out << "\n  ]";
 

@@ -1,25 +1,18 @@
 // Machine-readable multicore benchmark harness (bench_json).
 //
 // Sweeps thread counts over FxMark-style workloads (append, create, unlink,
-// rename) in two coffer placements — private (one coffer per thread, forced
-// by distinct permission groups) and shared (every thread in the root
-// coffer's group) — and in two concurrency modes:
+// rename, churn) in two coffer placements — private (one coffer per thread,
+// forced by distinct permission groups) and shared (every thread in the root
+// coffer's group) — on the production ZoFS configuration.
 //
-//   sharded     the PR's design: N-way sharded volatile state + per-thread
-//               coffer session cache;
-//   globallock  the pre-PR baseline, emulated by state_shards=1 and
-//               session_cache=false (same code path, one shard == one lock).
-//
-// Two additional single-thread sweeps exercise MPK key pressure (schema v5):
+// Two additional single-thread sweeps exercise MPK key pressure:
 //
 //   table3      64 same-mode directory coffers (one protection class) — key
 //               virtualization shares one physical key, so key_evictions
 //               must be exactly 0;
 //   table4      64 directory coffers cycling 24 distinct permission groups
 //               (25 protection classes > 15 keys) — the LRU key window keeps
-//               evictions bounded and cheap (page retags, no unmap), while
-//               the globallock baseline runs the legacy one-key-per-coffer
-//               allocator and thrashes through whole-coffer evictions.
+//               evictions bounded and cheap (page retags, no unmap).
 //
 // Each datapoint reports wall-clock throughput/latency plus
 // *deterministic* structural counters — kernel crossings, clwb flushes,
@@ -35,7 +28,7 @@
 // logical clock so no lease word can lapse mid-run.
 // On a single-core host the timing fields measure contention under
 // time-slicing, not parallel speedup; lock_acquisitions_per_op is the
-// host-independent scalability signal (the sharded mode's hot path takes
+// host-independent scalability signal (the steady-state hot path takes
 // zero shared locks per op).
 
 #ifndef SRC_HARNESS_BENCHJSON_H_
@@ -61,7 +54,7 @@ struct BenchJsonOptions {
 };
 
 // Runs the sweep and returns the complete JSON document (schema
-// "zofs-bench-scale-v5", fixed key order).
+// "zofs-bench-scale-v6", fixed key order).
 std::string RunBenchJson(const BenchJsonOptions& opts = {});
 
 }  // namespace harness

@@ -92,7 +92,6 @@ FsLab::FsLab(FsKind kind, LabOptions opts) : kind_(kind), opts_(opts) {
       fopts.root_gid = opts_.cred.gid;
       kernfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), fopts);
       kernfs_->set_kernel_crossing_ns(opts_.kernel_crossing_ns);
-      kernfs_->set_key_virtualization(opts_.zofs_key_virtualization);
       break;
     }
     case FsKind::kStrata: {
@@ -156,9 +155,6 @@ vfs::FileSystem* FsLab::View(int proc) {
         zopts.inline_data = opts_.zofs_inline_data;
         zopts.atomic_data = opts_.zofs_atomic_data;
         zopts.enlarge_batch = opts_.zofs_enlarge_batch;
-        zopts.state_shards = opts_.zofs_state_shards;
-        zopts.session_cache = opts_.zofs_session_cache;
-        zopts.sync_crossings = opts_.zofs_sync_crossings;
         views_[proc] = std::make_unique<fslib::FsLib>(kernfs_.get(), opts_.cred, zopts);
         break;
       }

@@ -59,19 +59,8 @@ struct LabOptions {
   bool zofs_inline_data = false;
   bool zofs_atomic_data = false;
   uint64_t zofs_enlarge_batch = 64;
-  // Volatile-state sharding (bench_json's global-lock baseline sets shards=1
-  // and disables the per-thread session cache).
-  uint32_t zofs_state_shards = 16;
-  bool zofs_session_cache = true;
-  // Disable the per-thread kernel channels: every crossing taken
-  // synchronously (bench_json's baseline configs, differential tests).
-  bool zofs_sync_crossings = false;
   // Skip installing the MPK device hook (measures protection overhead).
   bool disable_mpk = false;
-  // MPK key virtualization (protection classes + LRU key windows). Off =
-  // legacy one-key-per-coffer allocation with whole-coffer eviction, the
-  // pre-virtualization thrash baseline for bench_json's table3/table4 points.
-  bool zofs_key_virtualization = true;
 };
 
 class FsLab {

@@ -85,15 +85,6 @@ Result<MapInfo> Channel::Map(uint32_t coffer_id, bool writable) {
   return done.map_info;
 }
 
-Status Channel::Unmap(uint32_t coffer_id) {
-  ChanRequest req;
-  req.op = ChanOp::kUnmap;
-  req.coffer_id = coffer_id;
-  ChanCompletion done;
-  RunBatch(&req, &done);
-  return done.status;
-}
-
 Result<std::vector<PageRun>> Channel::Enlarge(uint32_t coffer_id,
                                               uint64_t n_pages) {
   ChanRequest req;
@@ -125,19 +116,6 @@ uint64_t Channel::SubmitEnlarge(uint32_t coffer_id, uint64_t n_pages) {
   req.op = ChanOp::kEnlarge;
   req.coffer_id = coffer_id;
   req.n_pages = n_pages;
-  req.background = true;
-  req.seq = next_seq_++;
-  uint64_t seq = req.seq;
-  sub_.push_back(std::move(req));
-  stats_.async_submitted++;
-  return seq;
-}
-
-uint64_t Channel::SubmitUnmap(uint32_t coffer_id) {
-  common::SpinLockGuard lk(&mu_);
-  ChanRequest req;
-  req.op = ChanOp::kUnmap;
-  req.coffer_id = coffer_id;
   req.background = true;
   req.seq = next_seq_++;
   uint64_t seq = req.seq;
@@ -204,7 +182,7 @@ std::vector<ChanCompletion> Channel::Harvest() {
 void Channel::Drain() {
   common::SpinLockGuard lk(&mu_);
   // Unexecuted enlarge requests are dropped: nothing happened in the kernel,
-  // so there is nothing to undo. Everything else (deferred unmaps) stays.
+  // so there is nothing to undo. Anything else queued still executes.
   for (size_t i = 0; i < sub_.size();) {
     if (sub_[i].op == ChanOp::kEnlarge) {
       pending_enlarge_[sub_[i].coffer_id] = false;
@@ -235,16 +213,14 @@ void Channel::Drain() {
     }
   }
   RunBatchLocked(nullptr, nullptr);
-  // Drop the drain's own completions (shrinks/unmaps); nobody harvests after
-  // a drain.
+  // Drop the drain's own completions; nobody harvests after a drain.
   done_.clear();
 }
 
 std::vector<std::pair<uint32_t, std::vector<PageRun>>> Channel::ReapForKernel() {
   common::SpinLockGuard lk(&mu_);
   std::vector<std::pair<uint32_t, std::vector<PageRun>>> grants;
-  // Unexecuted submissions never reached the kernel: nothing to undo, and a
-  // dead process's deferred unmaps are moot (the reaper unmaps everything).
+  // Unexecuted submissions never reached the kernel: nothing to undo.
   sub_.clear();
   for (ChanCompletion& c : done_) {
     if (c.op == ChanOp::kEnlarge && c.status.ok() && !c.runs.empty()) {

@@ -5,12 +5,12 @@
 // ("low latency, CPU locality, lock-less parallelism") and KucoFS's
 // kernel/user collaboration split:
 //
-//   * Batching — a synchronous call (Map/Unmap/Enlarge) does not enter the
+//   * Batching — a synchronous call (Map/Enlarge/Retag) does not enter the
 //     kernel alone: it drains every request queued on this thread's
 //     submission ring in the SAME KernelEntry, so N requests pay one
 //     crossing (KernFs::ExecuteBatch).
-//   * Async ring — background work (allocator refill prefetch, deferred
-//     unmaps) is submitted without entering the kernel at all. It executes
+//   * Async ring — background work (allocator refill prefetch) is
+//     submitted without entering the kernel at all. It executes
 //     piggybacked on the next synchronous drain, at an explicit Flush(), or
 //     when its completion is first needed (TakeEnlarge); crossings charged
 //     by an all-background drain are attributed to the background counter,
@@ -68,7 +68,6 @@ class Channel {
 
   // ---- synchronous ops: queue-drain + self in ONE KernelEntry -------------
   Result<MapInfo> Map(uint32_t coffer_id, bool writable);
-  Status Unmap(uint32_t coffer_id);
   Result<std::vector<PageRun>> Enlarge(uint32_t coffer_id, uint64_t n_pages);
   // Key-window fault-in (ChanOp::kRetag, ISSUE 10): restores a physical key
   // to the coffer's protection class and retags its pages, batched with
@@ -80,8 +79,6 @@ class Channel {
   // pending per coffer (returns 0 when one is already pending or completed-
   // unharvested, else the submission seq).
   uint64_t SubmitEnlarge(uint32_t coffer_id, uint64_t n_pages);
-  // Queues a deferred unmap; executes at the next drain point.
-  uint64_t SubmitUnmap(uint32_t coffer_id);
   // True while an enlarge for `coffer_id` is queued or completed-unharvested.
   bool HasPendingEnlarge(uint32_t coffer_id);
 
@@ -95,21 +92,21 @@ class Channel {
   // The caller links the granted runs while it holds the coffer's window.
   bool TakeEnlarge(uint32_t coffer_id, ChanCompletion* out);
 
-  // Drains non-enlarge completions (deferred unmaps etc.). No crossing.
+  // Drains the completions no TakeEnlarge claims (a refused scribbled
+  // entry). No crossing.
   std::vector<ChanCompletion> Harvest();
 
   // ---- drain support / introspection --------------------------------------
   // Unexecuted enlarge requests are dropped (nothing happened in the kernel);
-  // queued unmaps execute; completed-unharvested enlarge grants are returned
-  // via CofferShrink in the same batch. Called by ChannelSet::DrainAll.
+  // completed-unharvested enlarge grants are returned via CofferShrink in
+  // one batch. Called by ChannelSet::DrainAll.
   void Drain();
 
   // Reaper-side reclamation for a DEAD owner (KernFs::ReapDeadProcesses /
   // KillProcess / FsUmount). Unlike Drain, nothing re-enters the kernel on
   // the corpse's behalf: unexecuted submissions are dropped (they never
-  // reached the kernel; deferred unmaps are moot — the whole process is being
-  // unmapped), and completed-unharvested enlarge grants are RETURNED to the
-  // caller as (coffer_id, runs) pairs so KernFs can shrink them back under
+  // reached the kernel), and completed-unharvested enlarge grants are
+  // RETURNED to the caller as (coffer_id, runs) pairs so KernFs can shrink them back under
   // its own lock. Rings are left empty.
   std::vector<std::pair<uint32_t, std::vector<PageRun>>> ReapForKernel();
 
@@ -147,8 +144,9 @@ class Channel {
 // steady state resolves Current() without touching the registry lock.
 class ChannelSet {
  public:
-  // `enabled == false` (Options::sync_crossings) disables channels entirely:
-  // Current() returns nullptr and callers take the legacy synchronous path.
+  // `enabled == false` (the Options::sync_crossings test hook) disables
+  // channels entirely: Current() returns nullptr and callers take the plain
+  // synchronous entry points.
   ChannelSet(KernFs* kfs, Process* proc, bool enabled);
   ~ChannelSet();
 
@@ -160,9 +158,9 @@ class ChannelSet {
   // The calling thread's channel (created on demand); nullptr when disabled.
   Channel* Current();
 
-  // Drains every channel (unmount / destruction): queued unmaps execute,
-  // unharvested enlarge grants return to the kernel, pending refill requests
-  // are dropped unexecuted.
+  // Drains every channel (unmount / destruction): unharvested enlarge
+  // grants return to the kernel, pending refill requests are dropped
+  // unexecuted.
   void DrainAll();
 
   // Marks the owning process dead: the destructor's DrainAll becomes a no-op

@@ -17,6 +17,7 @@
 #ifndef SRC_KERNFS_KERNFS_H_
 #define SRC_KERNFS_KERNFS_H_
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <set>
@@ -73,15 +74,22 @@ class Process {
   // key_class_count bench counter).
   size_t LiveProtClassCount() const { return key_classes_.LiveClassCount(); }
 
+  // Class generation: bumped whenever a chmod/chown moves one of this
+  // process's mappings to another protection class. MapInfo::class_gen
+  // records it, and the µFS remaps when the two differ: a moved coffer's
+  // cached class_slot can still read a live key (the old class's other
+  // members keep it keyed) that no longer tags the coffer's pages.
+  uint64_t ClassGen() const { return class_gen_.load(std::memory_order_acquire); }
+
  private:
   friend class KernFs;
   Process(uint32_t pid, vfs::Cred cred, size_t num_pages)
       : pid_(pid), cred_(cred), page_keys_(num_pages, 0xff) {}
 
   struct Mapping {
-    uint8_t key;        // class path: key at map/fault-in time (may go stale)
+    uint8_t key;  // key at map/fault-in time (may go stale)
     bool writable;
-    uint16_t class_slot = mpk::KeyClassTable::kNoSlot;  // kNoSlot = legacy key
+    uint16_t class_slot;
   };
 
   uint32_t pid_;
@@ -92,6 +100,7 @@ class Process {
   mpk::KeyClassTable key_classes_;
   std::unordered_map<uint32_t, Mapping> mappings_;  // coffer-id -> mapping
   bool fslib_mounted_ = false;
+  std::atomic<uint64_t> class_gen_{0};  // written under the KernFS lock
 };
 
 // Result of coffer_map: everything the µFS needs to start managing the
@@ -103,10 +112,12 @@ struct MapInfo {
   uint64_t root_page_off = 0;   // CofferRoot page (read-only to the µFS)
   uint64_t root_inode_off = 0;
   uint64_t custom_off = 0;
-  // Protection-class slot of the coffer (kNoSlot on the legacy per-coffer
-  // path). The µFS revalidates `key` against PublishedClassKey(class_slot)
-  // on every cache hit: key-window eviction invalidates nothing globally.
+  // Protection-class slot of the coffer. The µFS revalidates `key` against
+  // PublishedClassKey(class_slot) on every cache hit: key-window eviction
+  // invalidates nothing globally.
   uint16_t class_slot = mpk::KeyClassTable::kNoSlot;
+  // Process::ClassGen() when this MapInfo was produced.
+  uint64_t class_gen = 0;
 };
 
 // ---- Batched submission/completion interface (ZUFS-style channels) --------
@@ -120,7 +131,6 @@ struct MapInfo {
 enum class ChanOp : uint8_t {
   kNop = 0,
   kMap,      // CofferMap(coffer_id, writable)
-  kUnmap,    // CofferUnmap(coffer_id)
   kEnlarge,  // CofferEnlarge(coffer_id, n_pages)
   kShrink,   // CofferShrink(coffer_id, runs) — drain-time grant return
   kRetag,    // CofferRetag(coffer_id) — key-window fault-in (ISSUE 10)
@@ -210,14 +220,6 @@ class KernFs {
   void set_kernel_crossing_ns(uint64_t ns) { crossing_ns_ = ns; }
   uint64_t kernel_crossing_ns() const { return crossing_ns_; }
 
-  // MPK key virtualization (ISSUE 10): on (the default), same-(uid,gid,perm)
-  // coffers share one physical key per process and key exhaustion runs the
-  // LRU key window instead of returning kNoKeys. Off preserves the legacy
-  // one-key-per-coffer path (bench_json's pre-virtualization baseline; the
-  // µFS victim-evicts whole mappings on kNoKeys). Set before any CofferMap.
-  void set_key_virtualization(bool on) { key_virtualization_ = on; }
-  bool key_virtualization() const { return key_virtualization_; }
-
   // ---- Process management (simulation scaffolding, not a Table 5 op).
   Process* CreateProcess(vfs::Cred cred);
   void DestroyProcess(Process* proc);
@@ -283,8 +285,8 @@ class KernFs {
   // Permission-checks and maps a coffer into the process: assigns the MPK
   // key of the coffer's protection class — same-(uid,gid,perm) coffers share
   // one key, and class-count overflow runs the LRU key window — and tags the
-  // coffer's pages in the process's page-key table. Only the legacy path
-  // (key virtualization off) returns Err::kNoKeys on budget exhaustion.
+  // coffer's pages in the process's page-key table. Returns Err::kNoKeys
+  // only once the process has formed 65535 distinct classes.
   Result<MapInfo> CofferMap(Process& proc, uint32_t coffer_id, bool writable);
   Status CofferUnmap(Process& proc, uint32_t coffer_id);
 
@@ -292,8 +294,7 @@ class KernFs {
   // holds a physical key again (LRU-evicting another class if the budget is
   // full) and retags every member coffer's pages. One crossing, no unmap, no
   // session-epoch invalidation; usually reached batched via ChanOp::kRetag.
-  // Returns the refreshed MapInfo. No-op returning current state on the
-  // legacy path.
+  // Returns the refreshed MapInfo.
   Result<MapInfo> CofferRetag(Process& proc, uint32_t coffer_id);
 
   // Path-coffer map lookup (exact coffer path).
@@ -388,7 +389,6 @@ class KernFs {
                                                uint64_t n_pages);
   Status DoCofferShrink(Process& proc, uint32_t coffer_id, const std::vector<PageRun>& runs);
   Result<MapInfo> DoCofferMap(Process& proc, uint32_t coffer_id, bool writable);
-  Status DoCofferUnmap(Process& proc, uint32_t coffer_id);
   Result<MapInfo> DoCofferRetag(Process& proc, uint32_t coffer_id);
 
   // Ownership-validated run return (the body of DoCofferShrink, shared with
@@ -438,15 +438,15 @@ class KernFs {
                        bool writable) REQUIRES(mu_);
   // Ensures the class behind `slot` holds a key; applies the LRU key-window
   // eviction (retag the victim class's pages to kUnmapped) and, on a fresh
-  // assignment, retags this class's member pages. Returns kUnmapped only
-  // when every key is pinned by legacy mappings.
+  // assignment, retags this class's member pages. Returns the class's key.
   uint8_t EnsureClassKeyLocked(Process& proc, uint16_t slot) REQUIRES(mu_);
   // Re-homes a mapped coffer whose root triple changed (chmod/chown): drops
-  // the old class membership, joins the new class and retags.
+  // the old class membership, joins the new class, retags and bumps the
+  // process's class generation.
   void MigrateClassLocked(Process& proc, CofferInfo& c,
                           const mpk::ProtClass& cls) REQUIRES(mu_);
-  // Current effective tag base for a mapping: the class/legacy key, or
-  // kUnmapped while the class is key-window evicted.
+  // Current effective tag base for a mapping: the class key, or kUnmapped
+  // while the class is key-window evicted.
   uint8_t EffectiveKeyLocked(const Process& proc, const Process::Mapping& m) REQUIRES(mu_);
   uint64_t PersistRootPath(CofferRoot* root, const std::string& path) REQUIRES(mu_);
 
@@ -458,7 +458,6 @@ class KernFs {
   uint64_t crossing_ns_ = 300;
   uint32_t root_coffer_id_ = 0;
   uint32_t next_pid_ = 1;
-  bool key_virtualization_ = true;
 
   mutable common::Mutex mu_;  // the global kernel lock
   std::map<uint64_t, uint64_t> free_by_addr_ GUARDED_BY(mu_);       // start -> len

@@ -11,25 +11,35 @@ uint64_t KeyEvictionCount() { return g_key_evictions.load(std::memory_order_rela
 uint64_t KeyRetagPageCount() { return g_key_retag_pages.load(std::memory_order_relaxed); }
 
 namespace internal {
-void NoteKeyEviction() { g_key_evictions.fetch_add(1, std::memory_order_relaxed); }
 void NoteRetagPages(uint64_t n) { g_key_retag_pages.fetch_add(n, std::memory_order_relaxed); }
 }  // namespace internal
 
-KeyClassTable::KeyClassTable() {
-  for (auto& p : published_) {
+KeyClassTable::Chunk::Chunk() {
+  for (auto& p : published) {
     p.store(kUnmapped, std::memory_order_relaxed);
   }
-  for (auto& t : touched_) {
+  for (auto& t : touched) {
     t.store(0, std::memory_order_relaxed);
   }
 }
 
+KeyClassTable::KeyClassTable() {
+  chunks_[0].store(&first_chunk_, std::memory_order_relaxed);
+}
+
+KeyClassTable::~KeyClassTable() {
+  for (size_t i = 1; i < kChunks; i++) {
+    delete chunks_[i].load(std::memory_order_relaxed);
+  }
+}
+
 void KeyClassTable::Touch(uint16_t slot) {
-  if (slot >= kMaxSlots) {
+  Chunk* c = ChunkOf(slot);
+  if (c == nullptr) {
     return;
   }
-  touched_[slot].store(touch_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-                       std::memory_order_relaxed);
+  c->touched[slot % kSlotsPerChunk].store(
+      touch_clock_.fetch_add(1, std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
 uint16_t KeyClassTable::SlotFor(const ProtClass& cls) {
@@ -37,22 +47,28 @@ uint16_t KeyClassTable::SlotFor(const ProtClass& cls) {
   if (it != slot_of_.end()) {
     return it->second;
   }
-  if (slots_.size() >= kMaxSlots) {
+  if (slots_.size() >= kNoSlot) {
     return kNoSlot;
   }
   const uint16_t slot = static_cast<uint16_t>(slots_.size());
+  if (slot != 0 && slot % kSlotsPerChunk == 0) {
+    // First slot of a fresh heap chunk: publish the chunk before the slot
+    // can reach the µFS (inside a MapInfo returned through the kernel lock).
+    chunks_[slot / kSlotsPerChunk].store(new Chunk(), std::memory_order_release);
+  }
   slots_.push_back(Slot{cls, kUnmapped, {}});
   slot_of_.emplace(cls, slot);
   return slot;
 }
 
 uint8_t KeyClassTable::PublishedKey(uint16_t slot) const {
-  // Called lock-free from the µFS: touch ONLY the fixed atomic array, never
+  // Called lock-free from the µFS: touch ONLY the chunked atomics, never
   // slots_ (which the kernel grows under its lock).
-  if (slot >= kMaxSlots) {
+  const Chunk* c = ChunkOf(slot);
+  if (c == nullptr) {
     return kUnmapped;
   }
-  return published_[slot].load(std::memory_order_relaxed);
+  return c->published[slot % kSlotsPerChunk].load(std::memory_order_relaxed);
 }
 
 void KeyClassTable::Retain(uint16_t slot, uint32_t coffer_id) {
@@ -78,7 +94,7 @@ bool KeyClassTable::Release(uint16_t slot, uint32_t coffer_id) {
   if (s.key != kUnmapped) {
     key_used_[s.key] = false;
     s.key = kUnmapped;
-    published_[slot].store(kUnmapped, std::memory_order_relaxed);
+    Publish(slot, kUnmapped);
   }
   return true;
 }
@@ -109,33 +125,32 @@ uint8_t KeyClassTable::EnsureKey(uint16_t slot, uint16_t* evicted, bool* fresh) 
     // The LRU key window: demote the coldest *other* keyed class. Only the
     // assignment moves — members, refcounts and µFS caches stay; the caller
     // retags the victim's pages to kUnmapped so its next access faults in.
-    // Stamps come from touched_[], which the µFS bumps lock-free on every
-    // revalidation, so an in-flight op's working set is never the victim.
+    // Stamps come from the touched atomics, which the µFS bumps lock-free on
+    // every revalidation, so an in-flight op's working set is never the
+    // victim. Every used key belongs to a keyed slot and this slot holds
+    // none, so with all 15 in use the scan always finds a victim.
     uint16_t victim = kNoSlot;
     uint64_t victim_stamp = 0;
     for (uint16_t i = 0; i < slots_.size(); i++) {
       if (i == slot || slots_[i].key == kUnmapped) {
         continue;
       }
-      const uint64_t stamp = touched_[i].load(std::memory_order_relaxed);
+      const uint64_t stamp =
+          ChunkOf(i)->touched[i % kSlotsPerChunk].load(std::memory_order_relaxed);
       if (victim == kNoSlot || stamp < victim_stamp) {
         victim = i;
         victim_stamp = stamp;
       }
     }
-    if (victim == kNoSlot) {
-      // Every key is pinned by legacy per-coffer mappings: genuine kNoKeys.
-      return kUnmapped;
-    }
     Slot& v = slots_[victim];
     key = v.key;
     v.key = kUnmapped;
-    published_[victim].store(kUnmapped, std::memory_order_relaxed);
+    Publish(victim, kUnmapped);
     *evicted = victim;
-    internal::NoteKeyEviction();
+    g_key_evictions.fetch_add(1, std::memory_order_relaxed);
   }
   s.key = key;
-  published_[slot].store(key, std::memory_order_relaxed);
+  Publish(slot, key);
   *fresh = true;
   return key;
 }
@@ -156,14 +171,6 @@ size_t KeyClassTable::LiveClassCount() const {
     }
   }
   return n;
-}
-
-uint8_t KeyClassTable::AllocLegacyKey() { return TakeFreeKey(); }
-
-void KeyClassTable::FreeLegacyKey(uint8_t key) {
-  if (key >= 1 && key < kNumKeys) {
-    key_used_[key] = false;
-  }
 }
 
 }  // namespace mpk

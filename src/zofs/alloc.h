@@ -59,8 +59,8 @@ class CofferAllocator {
   // submission channel: an async CofferEnlarge is prefetched when the free
   // list drops to the low-water mark and harvested when the list runs dry,
   // so steady-state churn charges no foreground crossing. nullptr (or a
-  // disabled set, Options::sync_crossings) keeps the legacy synchronous
-  // CofferEnlarge slow path.
+  // disabled set, the Options::sync_crossings test hook) keeps the plain
+  // synchronous CofferEnlarge slow path.
   CofferAllocator(kernfs::KernFs* kfs, kernfs::Process* proc, uint32_t coffer_id,
                   uint64_t pool_off, uint64_t lease_ns, uint64_t enlarge_batch,
                   bool validate = true, kernfs::ChannelSet* channels = nullptr);

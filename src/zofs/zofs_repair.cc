@@ -333,7 +333,7 @@ Status ZoFs::OnlineRepairAfterSteal(uint32_t cid, const MapInfo& info,
                              in.inode_off != held_inode_off;
       bool acted = false;
       if (need_lock) {
-        InodeLock fl(dev, in.inode_off, opts_.lease_ns, cid);
+        InodeLock fl(dev, in.inode_off, opts_.lease_ns);
         if (fl.ok()) {
           acted = RepairPendingStagedAppend(cid, info).ok();
         } else if (first.ok()) {
@@ -364,11 +364,11 @@ Status ZoFs::OnlineRepairAfterSteal(uint32_t cid, const MapInfo& info,
       bool locks_ok = true;
       if (dirs_plausible) {
         if (lo != held_inode_off) {
-          l1 = std::make_unique<InodeLock>(dev, lo, opts_.lease_ns, cid);
+          l1 = std::make_unique<InodeLock>(dev, lo, opts_.lease_ns);
           locks_ok = l1->ok();
         }
         if (locks_ok && hi != lo && hi != held_inode_off) {
-          l2 = std::make_unique<InodeLock>(dev, hi, opts_.lease_ns, cid);
+          l2 = std::make_unique<InodeLock>(dev, hi, opts_.lease_ns);
           locks_ok = l2->ok();
         }
       }

@@ -6,7 +6,7 @@
 //     mis-attribution bugfix);
 //   * async enlarge prefetch: dedup, harvest, drain-time page return;
 //   * a corrupted in-flight entry completes kInval without dispatching;
-//   * differential equivalence against the Options::sync_crossings fallback;
+//   * differential equivalence against the Options::sync_crossings test hook;
 //   * crash at every drain stage of a partially drained ring recovers to a
 //     consistent allocation table (the rings are volatile DRAM).
 
@@ -184,7 +184,7 @@ TEST_F(ChannelTest, SubmitEnlargeDedupsPerCoffer) {
   EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
 }
 
-TEST_F(ChannelTest, MapAndDeferredUnmapThroughChannel) {
+TEST_F(ChannelTest, MapThroughChannel) {
   auto id = kfs_->CofferNew(*proc_, "/m", kernfs::kCofferTypeZofs, 0644, 0, 0, 2);
   ASSERT_TRUE(id.ok());
   kernfs::Channel ch(kfs_.get(), proc_);
@@ -192,15 +192,7 @@ TEST_F(ChannelTest, MapAndDeferredUnmapThroughChannel) {
   auto info = ch.Map(*id, true);
   ASSERT_TRUE(info.ok());
   EXPECT_NE(info->key, 0u);
-
-  EXPECT_NE(ch.SubmitUnmap(*id), 0u);
-  ch.Flush();
-  auto comps = ch.Harvest();
-  ASSERT_EQ(comps.size(), 1u);
-  EXPECT_EQ(comps[0].op, kernfs::ChanOp::kUnmap);
-  EXPECT_TRUE(comps[0].status.ok());
-  // The deferred unmap really executed: a second unmap has nothing to do.
-  EXPECT_FALSE(kfs_->CofferUnmap(*proc_, *id).ok());
+  EXPECT_TRUE(proc_->HasMapped(*id));
 
   EXPECT_FALSE(ch.Map(9999, false).ok());  // error propagation
 }
@@ -311,7 +303,7 @@ TEST_F(ChannelTest, DestroyProcessReclaimsUnharvestedGrants) {
 
 // ---------------------------------------------------------------------------
 // Differential equivalence: the same workload through the channel path and
-// through the Options::sync_crossings fallback must produce identical trees.
+// through the Options::sync_crossings test hook must produce identical trees.
 
 struct Stack {
   std::unique_ptr<nvm::NvmDevice> dev;
@@ -389,8 +381,8 @@ TEST(ChannelDifferentialTest, ChurnEquivalentToSyncCrossings) {
 
   const uint64_t bg0 = kernfs::BackgroundCrossingCount();
   ChurnWorkload(sync.fs.get());
-  // The sync fallback never runs async housekeeping: every crossing it
-  // charged was foreground (the baseline the benchmarks compare against).
+  // The sync reference never runs async housekeeping: every crossing it
+  // charged was foreground.
   EXPECT_EQ(kernfs::BackgroundCrossingCount(), bg0);
 
   ChurnWorkload(channel.fs.get());

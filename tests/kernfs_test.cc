@@ -138,23 +138,23 @@ TEST_F(KernFsTest, MapChecksPermissions) {
   EXPECT_TRUE(kfs_->CofferMap(*stranger, ro, false).ok());
 }
 
-TEST_F(KernFsTest, KeyBudgetExhaustsAt15) {
-  // Legacy one-key-per-coffer assignment: with key virtualization all 16
-  // same-(uid,gid,perm) coffers share a single protection-class key and the
-  // budget never exhausts (KeyClassSharing below proves that).
-  kfs_->set_key_virtualization(false);
-  std::vector<uint32_t> ids;
-  for (int i = 0; i < 15; i++) {
-    ids.push_back(MakeCoffer("/c" + std::to_string(i)));
+TEST_F(KernFsTest, KeyWindowMaps1100DistinctClasses) {
+  // One process maps 1,100 coffers, each its own protection class (distinct
+  // gid), which spans several slot chunks. The LRU key window serves every
+  // map from the 15 keys; none returns ENOKEYS.
+  constexpr int kClasses = 1100;
+  const uint64_t ev0 = mpk::KeyEvictionCount();
+  for (int i = 0; i < kClasses; i++) {
+    auto id = kfs_->CofferNew(*proc_, "/cls" + std::to_string(i), kernfs::kCofferTypeZofs, 0644,
+                              100, 2000 + i, 2);
+    ASSERT_TRUE(id.ok()) << i;
+    auto info = kfs_->CofferMap(*proc_, *id, true);
+    ASSERT_TRUE(info.ok()) << "map " << i << ": " << common::ErrName(info.error());
+    EXPECT_NE(info->key, mpk::kUnmapped);
   }
-  auto extra = kfs_->CofferNew(*proc_, "/c15", kernfs::kCofferTypeZofs, 0644, 100, 100, 2);
-  ASSERT_TRUE(extra.ok());
-  auto denied = kfs_->CofferMap(*proc_, *extra, true);
-  ASSERT_FALSE(denied.ok());
-  EXPECT_EQ(denied.error(), Err::kNoKeys);
-  // Unmapping one frees a key.
-  ASSERT_TRUE(kfs_->CofferUnmap(*proc_, ids[0]).ok());
-  EXPECT_TRUE(kfs_->CofferMap(*proc_, *extra, true).ok());
+  EXPECT_EQ(proc_->LiveProtClassCount(), static_cast<size_t>(kClasses));
+  // The first 15 classes took free keys; every later one evicted one.
+  EXPECT_EQ(mpk::KeyEvictionCount() - ev0, static_cast<uint64_t>(kClasses - 15));
 }
 
 TEST_F(KernFsTest, KeyClassSharing64CoffersUnderBudget) {

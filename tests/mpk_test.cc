@@ -179,4 +179,25 @@ TEST(KeyClassTableTest, ReleaseExactlyOnceUnderReaperRace) {
   EXPECT_NE(evicted, mpk::KeyClassTable::kNoSlot);
 }
 
+TEST(KeyClassTableTest, SlotForFailsOnlyAtSlotSpaceLimit) {
+  // Slots are 16-bit with kNoSlot reserved: 65,535 distinct classes get
+  // slots, the next class does not, and known classes still resolve.
+  mpk::KeyClassTable t;
+  constexpr uint32_t kSlots = mpk::KeyClassTable::kNoSlot;
+  for (uint32_t i = 0; i < kSlots; i++) {
+    ASSERT_EQ(t.SlotFor(mpk::ProtClass{i, 0, 0644}), i);
+  }
+  EXPECT_EQ(t.SlotFor(mpk::ProtClass{kSlots, 0, 0644}), mpk::KeyClassTable::kNoSlot);
+  EXPECT_EQ(t.SlotFor(mpk::ProtClass{7, 0, 0644}), 7u);
+  // The last slot is fully usable: it keys up and publishes its key.
+  const uint16_t last = static_cast<uint16_t>(kSlots - 1);
+  t.Retain(last, 1);
+  uint16_t evicted = 0;
+  bool fresh = false;
+  const uint8_t key = t.EnsureKey(last, &evicted, &fresh);
+  ASSERT_NE(key, mpk::kUnmapped);
+  EXPECT_TRUE(fresh);
+  EXPECT_EQ(t.PublishedKey(last), key);
+}
+
 }  // namespace

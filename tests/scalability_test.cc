@@ -1,6 +1,6 @@
 // Scalability tests for the sharded FSLib/ZoFS hot path: sharded volatile
 // state, the per-thread coffer session cache, the chunked FD table, the
-// bounded relocation ledger, and victim eviction under MPK key exhaustion.
+// bounded relocation ledger, and the MPK key window under key exhaustion.
 //
 // Fixture naming is load-bearing for the sanitizer gate:
 //   * ScalabilityTsan* tests are run under ThreadSanitizer by
@@ -8,8 +8,8 @@
 //     per-thread private coffers, pre-created shared trees, and shared-file
 //     appends serialized by the NVM inode lease lock.
 //   * Scalability* tests additionally exercise racy-by-design paths
-//     (concurrent creates probing lock-free dentry arrays, key eviction
-//     yanking mappings mid-operation) where benign races and graceful MPK
+//     (concurrent creates probing lock-free dentry arrays, the key window
+//     revoking a class mid-operation) where benign races and graceful MPK
 //     faults are the expected behaviour, not a bug.
 
 #include <gtest/gtest.h>
@@ -469,56 +469,14 @@ TEST_F(ScalabilityLedger, SplitLedgerIsBoundedAndClearedOnUnlink) {
 }
 
 // ---------------------------------------------------------------------------
-// Global-lock baseline mode stays correct
-
-class ScalabilityGlobalLock : public ScalabilityBase {
- protected:
-  void SetUp() override {
-    zofs::Options zopts;
-    zopts.state_shards = 1;
-    zopts.session_cache = false;
-    Build(zopts);
-  }
-};
-
-TEST_F(ScalabilityGlobalLock, BaselineModeRunsTheFullMix) {
-  // bench_json's globallock baseline is a live configuration; it must be
-  // functionally identical, just slower under contention.
-  ASSERT_TRUE(fs_->Mkdir(kCred, "/d", 0755).ok());
-  std::atomic<int> errors{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 3; t++) {
-    threads.emplace_back([&, t]() {
-      fs_->BindThread();
-      for (int i = 0; i < 80; i++) {
-        std::string f = "/d/t" + std::to_string(t) + "_" + std::to_string(i);
-        auto fd = fs_->Open(kCred, f, vfs::kCreate | vfs::kWrite, 0644);
-        if (!fd.ok() || !fs_->Write(*fd, "data", 4).ok() || !fs_->Close(*fd).ok()) {
-          errors++;
-        }
-      }
-    });
-  }
-  for (auto& th : threads) {
-    th.join();
-  }
-  EXPECT_EQ(errors.load(), 0);
-  fs_->BindThread();
-  auto entries = fs_->ReadDir(kCred, "/d");
-  ASSERT_TRUE(entries.ok());
-  EXPECT_EQ(entries->size(), 240u);
-  // With one shard and no session cache every mapping probe takes the lock.
-  EXPECT_GT(fs_->zofs().ShardLockAcquisitionsForTest(), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// MPK key exhaustion: victim eviction racing live operations
+// MPK key exhaustion: the key window racing live operations
 
 TEST_F(Scalability, VictimEvictionRaceUnderKeyExhaustion) {
-  // 15 private coffers + the root coffer exceed the 15 usable MPK keys, so
-  // every thread's next operation may evict a mapping another thread is
-  // about to use. Evictions surface as graceful faults (Err::kFault /
-  // remapping retries), never crashes or cross-coffer data bleed.
+  // 15 private coffers + the root coffer are 16 protection classes over the
+  // 15 usable MPK keys, so every thread's next operation may run the LRU key
+  // window and retag dark a class another thread is about to use. A revoked
+  // key surfaces as a graceful fault and a retry after the class faults back
+  // in, never a crash or cross-coffer data bleed.
   for (int i = 0; i < kNumGroupModes; i++) {
     auto fd =
         fs_->Open(kCred, "/key" + std::to_string(i), vfs::kCreate | vfs::kWrite, kGroupModes[i]);

@@ -4,16 +4,13 @@
 Usage: check_bench_budget.py BENCH.json [bench/budgets.json]
 
 Budgets (bench/budgets.json) are per-op ceilings on *deterministic* counters
-from the zofs-bench-scale-v5 sweep — clwb_per_op, sfence_per_op,
+from the zofs-bench-scale-v6 sweep — clwb_per_op, sfence_per_op,
 kernel_crossings_per_op and key_evictions_per_op — so the gate is stable
 across hosts and runs. A breach means the epoch batcher / staged-append fast
 path stopped absorbing flush and fence traffic, the per-thread channel
 stopped absorbing kernel crossings, or the MPK key-virtualization layer
 stopped sharing keys / windowing evictions; that is the regression this gate
-exists to catch, never wall-clock noise. A budget entry may carry a "mode" (sharded / globallock)
-restricting which sweep points it applies to — the crossing ceiling targets
-the channel-enabled sharded configuration, while globallock doubles as the
-sync_crossings baseline and is expected to sit far above it.
+exists to catch, never wall-clock noise.
 """
 
 import json
@@ -29,28 +26,25 @@ def main():
     budgets = json.load(open(budgets_path))
 
     schema = bench.get("schema")
-    if schema != "zofs-bench-scale-v5":
-        print(f"[FAIL] {sys.argv[1]}: schema {schema!r}, want zofs-bench-scale-v5")
+    if schema != "zofs-bench-scale-v6":
+        print(f"[FAIL] {sys.argv[1]}: schema {schema!r}, want zofs-bench-scale-v6")
         return 1
 
     fail = 0
     for b in budgets["budgets"]:
         wl = b["workload"]
-        mode = b.get("mode")
-        pts = [p for p in bench.get("sweep", [])
-               if p["workload"] == wl and (mode is None or p["mode"] == mode)]
-        label = wl if mode is None else f"{wl}/{mode}"
+        pts = [p for p in bench.get("sweep", []) if p["workload"] == wl]
         if not pts:
-            print(f"[FAIL] {label}: no sweep points in {sys.argv[1]}")
+            print(f"[FAIL] {wl}: no sweep points in {sys.argv[1]}")
             fail = 1
             continue
         for metric, ceiling in sorted(b["ceilings"].items()):
             worst = max(p[metric] for p in pts)
             where = max(pts, key=lambda p: p[metric])
             ok = worst <= ceiling
-            print(f"[{'ok  ' if ok else 'FAIL'}] {label}: {metric} worst {worst} "
-                  f"<= {ceiling} ({where['mode']}/{where['coffers']}/"
-                  f"{where['threads']}t, {len(pts)} points)")
+            print(f"[{'ok  ' if ok else 'FAIL'}] {wl}: {metric} worst {worst} "
+                  f"<= {ceiling} ({where['coffers']}/{where['threads']}t, "
+                  f"{len(pts)} points)")
             if not ok:
                 fail = 1
     return fail
