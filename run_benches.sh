@@ -4,7 +4,7 @@
 # bench run never dirties the source tree.
 set -euo pipefail
 
-cd /root/repo
+cd "$(dirname "$0")"
 
 if [ "$(nproc)" -eq 1 ]; then
   cat >&2 <<'EOF'
@@ -52,8 +52,8 @@ fi
     echo
   done
   echo "=== benchmark run complete: $(date -u) ==="
-} > /root/repo/build/bench_output.txt 2>&1
+} > build/bench_output.txt 2>&1
 
 # Machine-readable multicore scalability sweep.
-./build/tools/bench_json /root/repo/build/BENCH_10.json > /dev/null
+./build/tools/bench_json build/BENCH_10.json > /dev/null
 echo "run_benches.sh: wrote build/bench_output.txt and build/BENCH_10.json"

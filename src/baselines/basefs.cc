@@ -287,6 +287,9 @@ Result<vfs::Fd> BaseFs::Open(const vfs::Cred& cred, const std::string& path, uin
     TouchLease(*parent);
     auto it = parent->children.find(leaf);
     if (it != parent->children.end()) {
+      if (flags & vfs::kExcl) {
+        return Err::kExist;  // e.g. a dangling symlink: the name exists
+      }
       node = it->second;
     } else {
       node = std::make_shared<Node>();

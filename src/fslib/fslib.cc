@@ -126,27 +126,11 @@ vfs::Result<vfs::Fd> FsLib::Open(const vfs::Cred& cred, const std::string& path,
                                  uint16_t mode) {
   BindThread();
   return Guarded(__func__, [&]() -> vfs::Result<vfs::Fd> {
-    common::Result<ufs::NodeRef> node = Err::kNoEnt;
-    if ((flags & vfs::kCreate) && !(flags & vfs::kExcl)) {
-      // Single-walk open-or-create fast path.
-      bool created = false;
-      node = fs_->OpenOrCreate(path, mode, &created);
-      if (!node.ok()) {
-        return node.error();
-      }
-    } else {
-      node = fs_->Lookup(path, /*follow_last_symlink=*/true);
-      if (!node.ok()) {
-        if (node.error() != Err::kNoEnt || !(flags & vfs::kCreate)) {
-          return node.error();
-        }
-        node = fs_->Create(path, mode);
-        if (!node.ok()) {
-          return node.error();
-        }
-      } else if ((flags & vfs::kCreate) && (flags & vfs::kExcl)) {
-        return Err::kExist;
-      }
+    common::Result<ufs::NodeRef> node =
+        (flags & vfs::kCreate) ? fs_->Create(path, mode, (flags & vfs::kExcl) != 0)
+                               : fs_->Lookup(path, /*follow_last_symlink=*/true);
+    if (!node.ok()) {
+      return node.error();
     }
 
     const bool want_write = (flags & vfs::kWrite) != 0;

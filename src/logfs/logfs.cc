@@ -306,45 +306,45 @@ Result<ufs::NodeRef> LogFs::Lookup(const std::string& path, bool follow) {
   return ufs::NodeRef{cid_, n->id};
 }
 
-Result<ufs::NodeRef> LogFs::Create(const std::string& path, uint16_t mode) {
-  AUDIT_SCOPE("LogFs::Create");
-  bool created = false;
-  ASSIGN_OR_RETURN(node, OpenOrCreate(path, mode, &created));
-  if (!created) {
-    return Err::kExist;
-  }
-  return node;
-}
-
-Result<ufs::NodeRef> LogFs::OpenOrCreate(const std::string& path, uint16_t mode, bool* created) {
-  AUDIT_SCOPE("LogFs::OpenOrCreate");
-  *created = false;
+Result<ufs::NodeRef> LogFs::CreateNode(const std::string& path, vfs::FileType type,
+                                       uint16_t mode, bool excl, std::string_view symlink_target) {
   common::MutexLock lk(&mu_);
+  if (vfs::NormalizePath(path) == "/") {  // no parent to create it in, but it always exists
+    if (excl) {
+      return Err::kExist;
+    }
+    return ufs::NodeRef{cid_, 1};
+  }
   ASSIGN_OR_RETURN(pp, ResolveParent(path));
   auto& [parent, leaf] = pp;
-  auto it = parent->children.find(leaf);
-  if (it != parent->children.end()) {
-    return ufs::NodeRef{cid_, it->second};
+  if (parent->children.count(leaf)) {
+    if (excl) {
+      return Err::kExist;
+    }
+    ASSIGN_OR_RETURN(existing, ResolvePath(path, /*follow_last=*/true));
+    return ufs::NodeRef{cid_, existing->id};
   }
-  *created = true;
 
   mpk::AccessWindow w(info_.key, true);
   const uint64_t id = next_id_++;
   CreateRec rec{};
   rec.id = id;
   rec.parent = parent->id;
-  rec.type = static_cast<uint32_t>(vfs::FileType::kRegular);
+  rec.type = static_cast<uint32_t>(type);
   rec.mode = mode;
   rec.name_len = static_cast<uint16_t>(leaf.size());
-  RETURN_IF_ERROR(AppendRecord(kRecCreate, &rec, sizeof(rec), leaf));
+  rec.target_len = static_cast<uint16_t>(symlink_target.size());
+  RETURN_IF_ERROR(AppendRecord(kRecCreate, &rec, sizeof(rec), leaf, symlink_target));
 
   VNode n;
   n.id = id;
-  n.type = vfs::FileType::kRegular;
+  n.type = type;
   n.mode = mode;
   n.uid = proc_->cred().uid;
   n.gid = proc_->cred().gid;
   n.mtime_ns = common::NowNs();
+  n.symlink_target = symlink_target;
+  n.size = symlink_target.size();
   n.parent = parent->id;
   nodes_[id] = std::move(n);
   parent->children[leaf] = id;
@@ -352,67 +352,20 @@ Result<ufs::NodeRef> LogFs::OpenOrCreate(const std::string& path, uint16_t mode,
   return ufs::NodeRef{cid_, id};
 }
 
+Result<ufs::NodeRef> LogFs::Create(const std::string& path, uint16_t mode, bool excl) {
+  AUDIT_SCOPE("LogFs::Create");
+  return CreateNode(path, vfs::FileType::kRegular, mode, excl);
+}
+
 Status LogFs::Mkdir(const std::string& path, uint16_t mode) {
   AUDIT_SCOPE("LogFs::Mkdir");
-  common::MutexLock lk(&mu_);
-  ASSIGN_OR_RETURN(pp, ResolveParent(path));
-  auto& [parent, leaf] = pp;
-  if (parent->children.count(leaf)) {
-    return Err::kExist;
-  }
-  mpk::AccessWindow w(info_.key, true);
-  const uint64_t id = next_id_++;
-  CreateRec rec{};
-  rec.id = id;
-  rec.parent = parent->id;
-  rec.type = static_cast<uint32_t>(vfs::FileType::kDirectory);
-  rec.mode = mode;
-  rec.name_len = static_cast<uint16_t>(leaf.size());
-  RETURN_IF_ERROR(AppendRecord(kRecCreate, &rec, sizeof(rec), leaf));
-
-  VNode n;
-  n.id = id;
-  n.type = vfs::FileType::kDirectory;
-  n.mode = mode;
-  n.uid = proc_->cred().uid;
-  n.gid = proc_->cred().gid;
-  n.mtime_ns = common::NowNs();
-  n.parent = parent->id;
-  nodes_[id] = std::move(n);
-  parent->children[leaf] = id;
-  live_records_++;
+  RETURN_IF_ERROR(CreateNode(path, vfs::FileType::kDirectory, mode, /*excl=*/true));
   return common::OkStatus();
 }
 
 Status LogFs::Symlink(const std::string& target, const std::string& linkpath) {
   AUDIT_SCOPE("LogFs::Symlink");
-  common::MutexLock lk(&mu_);
-  ASSIGN_OR_RETURN(pp, ResolveParent(linkpath));
-  auto& [parent, leaf] = pp;
-  if (parent->children.count(leaf)) {
-    return Err::kExist;
-  }
-  mpk::AccessWindow w(info_.key, true);
-  const uint64_t id = next_id_++;
-  CreateRec rec{};
-  rec.id = id;
-  rec.parent = parent->id;
-  rec.type = static_cast<uint32_t>(vfs::FileType::kSymlink);
-  rec.mode = 0777;
-  rec.name_len = static_cast<uint16_t>(leaf.size());
-  rec.target_len = static_cast<uint16_t>(target.size());
-  RETURN_IF_ERROR(AppendRecord(kRecCreate, &rec, sizeof(rec), leaf, target));
-
-  VNode n;
-  n.id = id;
-  n.type = vfs::FileType::kSymlink;
-  n.mode = 0777;
-  n.symlink_target = target;
-  n.size = target.size();
-  n.parent = parent->id;
-  nodes_[id] = std::move(n);
-  parent->children[leaf] = id;
-  live_records_++;
+  RETURN_IF_ERROR(CreateNode(linkpath, vfs::FileType::kSymlink, 0777, /*excl=*/true, target));
   return common::OkStatus();
 }
 
@@ -749,8 +702,16 @@ Status LogFs::TruncateNode(ufs::NodeRef node, uint64_t len) {
 }
 
 Status LogFs::EnsureAccess(ufs::NodeRef node, bool writable) {
-  if (writable && !info_.writable) {
+  if (!writable) {
+    return common::OkStatus();
+  }
+  if (!info_.writable) {
     return Err::kAcces;
+  }
+  common::MutexLock lk(&mu_);
+  VNode* v = Get(node.inode_off);
+  if (v != nullptr && v->type == vfs::FileType::kDirectory) {
+    return Err::kIsDir;
   }
   return common::OkStatus();
 }

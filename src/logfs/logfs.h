@@ -58,9 +58,7 @@ class LogFs final : public ufs::MicroFs {
   kernfs::Process* proc() { return proc_; }
 
   Result<ufs::NodeRef> Lookup(const std::string& path, bool follow_last_symlink) override;
-  Result<ufs::NodeRef> Create(const std::string& path, uint16_t mode) override;
-  Result<ufs::NodeRef> OpenOrCreate(const std::string& path, uint16_t mode,
-                                    bool* created) override;
+  Result<ufs::NodeRef> Create(const std::string& path, uint16_t mode, bool excl) override;
   Status Mkdir(const std::string& path, uint16_t mode) override;
   Status Unlink(const std::string& path) override;
   Status Rmdir(const std::string& path) override;
@@ -184,6 +182,11 @@ class LogFs final : public ufs::MicroFs {
   Result<VNode*> ResolvePath(const std::string& path, bool follow_last, int depth = 0)
       REQUIRES(mu_);
   Result<std::pair<VNode*, std::string>> ResolveParent(const std::string& path) REQUIRES(mu_);
+  // The one create path (Create, Mkdir, Symlink): an existing name yields
+  // kExist under `excl`, else its node (following a symlink); a new one gets
+  // its create record and volatile node.
+  Result<ufs::NodeRef> CreateNode(const std::string& path, vfs::FileType type, uint16_t mode,
+                                  bool excl, std::string_view symlink_target = {}) EXCLUDES(mu_);
   VNode* Get(uint64_t id) REQUIRES(mu_);
   uint64_t LiveDataPages() const REQUIRES(mu_);
 

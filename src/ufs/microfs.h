@@ -48,8 +48,10 @@ class MicroFs {
 
   // ---- namespace (absolute, normalized paths) ----
   virtual Result<NodeRef> Lookup(const std::string& path, bool follow_last_symlink) = 0;
-  virtual Result<NodeRef> Create(const std::string& path, uint16_t mode) = 0;
-  virtual Result<NodeRef> OpenOrCreate(const std::string& path, uint16_t mode, bool* created) = 0;
+  // open(2) with O_CREAT, in one path walk: creates a regular file at `path`.
+  // An existing name yields kExist under `excl`, else its node, following a
+  // symlink. An existing name wins over a parent the caller cannot write.
+  virtual Result<NodeRef> Create(const std::string& path, uint16_t mode, bool excl) = 0;
   virtual Status Mkdir(const std::string& path, uint16_t mode) = 0;
   virtual Status Unlink(const std::string& path) = 0;
   virtual Status Rmdir(const std::string& path) = 0;
@@ -66,6 +68,7 @@ class MicroFs {
   virtual Result<size_t> WriteAt(NodeRef node, const void* buf, size_t n, uint64_t off) = 0;
   virtual Result<uint64_t> Append(NodeRef node, const void* buf, size_t n) = 0;
   virtual Status TruncateNode(NodeRef node, uint64_t len) = 0;
+  // open(2)'s access check; a directory opened for writing is kIsDir.
   virtual Status EnsureAccess(NodeRef node, bool writable) = 0;
   // fsync(2): make every completed write to `node` durable. µFSs that
   // persist synchronously keep the default no-op; µFSs with deferred

@@ -269,16 +269,7 @@ ZoFs::ZoFs(kernfs::KernFs* kfs, kernfs::Process* proc, Options opts)
     if (needs_format) {
       mpk::AccessWindow w(info->key, true);
       const CofferRoot* croot = kfs_->RootPageOf(kfs_->root_coffer_id());
-      Inode fresh{};
-      fresh.magic = kInodeMagic;
-      fresh.type = kTypeDirectory;
-      fresh.mode = croot->mode;
-      fresh.uid = croot->uid;
-      fresh.gid = croot->gid;
-      fresh.nlink = 2;
-      fresh.mtime_ns = fresh.ctime_ns = common::NowNs();
-      kfs_->dev()->StoreBytes(info->root_inode_off, &fresh, kInodeCoreBytes);
-      kfs_->dev()->PersistRange(info->root_inode_off, kInodeCoreBytes);
+      FormatInode(info->root_inode_off, kTypeDirectory, croot->mode, croot->uid, croot->gid);
       CofferAllocator::InitPool(kfs_->dev(), info->custom_off);
     }
   }
@@ -1329,9 +1320,8 @@ Status ZoFs::FreeBlocksFrom(CofferAllocator& alloc, Inode* ino, uint64_t first_b
 // ---------------------------------------------------------------------------
 // Node lifecycle
 
-Result<uint64_t> ZoFs::AllocInode(CofferAllocator& alloc, uint32_t type, uint16_t mode,
-                                  uint32_t uid, uint32_t gid) {
-  ASSIGN_OR_RETURN(page, alloc.AllocPage(/*zero=*/false));
+void ZoFs::FormatInode(uint64_t inode_off, uint32_t type, uint16_t mode, uint32_t uid,
+                       uint32_t gid) {
   Inode fresh{};
   fresh.magic = kInodeMagic;
   fresh.type = type;
@@ -1340,10 +1330,9 @@ Result<uint64_t> ZoFs::AllocInode(CofferAllocator& alloc, uint32_t type, uint16_
   fresh.gid = gid;
   fresh.nlink = type == kTypeDirectory ? 2 : 1;
   fresh.mtime_ns = fresh.ctime_ns = common::NowNs();
-  kfs_->dev()->StoreBytes(page, &fresh, kInodeCoreBytes);
-  kfs_->dev()->PersistRange(page, kInodeCoreBytes);
-  AUDIT_DURABILITY_POINT(kfs_->dev(), page, kInodeCoreBytes);
-  return page;
+  kfs_->dev()->StoreBytes(inode_off, &fresh, kInodeCoreBytes);
+  kfs_->dev()->PersistRange(inode_off, kInodeCoreBytes);
+  AUDIT_DURABILITY_POINT(kfs_->dev(), inode_off, kInodeCoreBytes);
 }
 
 Status ZoFs::FreeNode(uint32_t cid, CofferAllocator& alloc, uint64_t inode_off) {
@@ -1395,20 +1384,50 @@ Status ZoFs::FreeNode(uint32_t cid, CofferAllocator& alloc, uint64_t inode_off) 
   return alloc.FreePage(inode_off);
 }
 
+Status ZoFs::ReleaseChild(uint32_t cid, const MapInfo& info, uint32_t child_coffer,
+                          uint64_t child_inode) {
+  if (child_coffer != 0) {
+    // Drop our cached mapping and allocator too: the id (root page index)
+    // can be reused by a future coffer.
+    RETURN_IF_ERROR(kfs_->CofferDelete(*proc_, child_coffer));
+    ForgetMapping(child_coffer);
+    return common::OkStatus();
+  }
+  return FreeNode(cid, AllocatorFor(cid, info), child_inode);
+}
+
 // ---------------------------------------------------------------------------
 // Namespace operations
 
-Result<NodeRef> ZoFs::Create(const std::string& path, uint16_t mode) {
-  AUDIT_SCOPE("ZoFs::Create");
-  ASSIGN_OR_RETURN(pp, vfs::SplitParent(vfs::NormalizePath(path)));
+Result<NodeRef> ZoFs::CreateNode(const std::string& path, uint32_t type, uint16_t mode, bool excl,
+                                 std::string_view symlink_target) {
+  const std::string norm = vfs::NormalizePath(path);
+  if (norm == "/") {  // no parent to create it in, but it always exists
+    if (excl) {
+      return Err::kExist;
+    }
+    return Lookup(norm, true);
+  }
+  ASSIGN_OR_RETURN(pp, vfs::SplitParent(norm));
   const auto& [parent_path, leaf] = pp;
   ASSIGN_OR_RETURN(pr, Resolve(parent_path, true));
   const uint32_t pcid = pr.node.coffer_id;
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(pcid, true));
+  auto pinfo = EnsureMapped(pcid, true);
+  if (!pinfo.ok()) {
+    // POSIX reports an existing name before a parent the caller cannot
+    // write: look the name up before refusing.
+    if (pinfo.error() == Err::kAcces && Resolve(norm, false).ok()) {
+      if (excl) {
+        return Err::kExist;
+      }
+      return Lookup(norm, true);
+    }
+    return pinfo.error();
+  }
   const uint32_t uid = proc_->cred().uid;
   const uint32_t gid = proc_->cred().gid;
 
-  mpk::AccessWindow w(pinfo.key, true);
+  mpk::AccessWindow w(pinfo->key, true);
   Inode* dir = Ino(pr.node.inode_off);
   if (dir->magic != kInodeMagic) {
     return Err::kCorrupt;  // object-local damage; coffer graph still trusted
@@ -1420,163 +1439,63 @@ Result<NodeRef> ZoFs::Create(const std::string& path, uint16_t mode) {
   if (!lock.ok()) {
     return Err::kBusy;
   }
-  MaybeOnlineRepair(pcid, pinfo, lock, pr.node.inode_off);
-  if (DirFind(pcid, dir, leaf).ok()) {
-    return Err::kExist;
-  }
-
-  const CofferRoot* croot = kfs_->RootPageOf(pcid);
-  if (opts_.one_coffer || SameGroup(mode, uid, gid, croot)) {
-    CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-    ASSIGN_OR_RETURN(inode_off, AllocInode(alloc, kTypeRegular, mode, uid, gid));
-    RETURN_IF_ERROR(DirInsert(pcid, pinfo, dir, leaf, 0, inode_off, kTypeRegular));
-    return NodeRef{pcid, inode_off};
-  }
-
-  // Different permission group: the file becomes the root of a new coffer
-  // (paper §5, Figure 1).
-  std::string full = parent_path == "/" ? "/" + leaf : parent_path + "/" + leaf;
-  ASSIGN_OR_RETURN(new_cid, kfs_->CofferNew(*proc_, full, kernfs::kCofferTypeZofs, EffPerm(mode),
-                                            uid, gid, /*extra_pages=*/2));
-  ForgetMapping(new_cid);  // the id may be recycled from a deleted coffer
-  ASSIGN_OR_RETURN(ninfo, EnsureMapped(new_cid, true));
-  {
-    mpk::AccessWindow w2(ninfo.key, true);
-    Inode fresh{};
-    fresh.magic = kInodeMagic;
-    fresh.type = kTypeRegular;
-    fresh.mode = mode;
-    fresh.uid = uid;
-    fresh.gid = gid;
-    fresh.nlink = 1;
-    fresh.mtime_ns = fresh.ctime_ns = common::NowNs();
-    kfs_->dev()->StoreBytes(ninfo.root_inode_off, &fresh, sizeof(fresh));
-    kfs_->dev()->PersistRange(ninfo.root_inode_off, sizeof(fresh));
-    CofferAllocator::InitPool(kfs_->dev(), ninfo.custom_off);
-  }
-  RETURN_IF_ERROR(DirInsert(pcid, pinfo, dir, leaf, new_cid, ninfo.root_inode_off, kTypeRegular));
-  return NodeRef{new_cid, ninfo.root_inode_off};
-}
-
-Result<NodeRef> ZoFs::OpenOrCreate(const std::string& path, uint16_t mode, bool* created) {
-  AUDIT_SCOPE("ZoFs::OpenOrCreate");
-  *created = false;
-  ASSIGN_OR_RETURN(pp, vfs::SplitParent(vfs::NormalizePath(path)));
-  const auto& [parent_path, leaf] = pp;
-  ASSIGN_OR_RETURN(pr, Resolve(parent_path, true));
-  const uint32_t pcid = pr.node.coffer_id;
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(pcid, true));
-  const uint32_t uid = proc_->cred().uid;
-  const uint32_t gid = proc_->cred().gid;
-
-  mpk::AccessWindow w(pinfo.key, true);
-  Inode* dir = Ino(pr.node.inode_off);
-  if (dir->magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
-  }
-  if (dir->type != kTypeDirectory) {
-    return Err::kNotDir;
-  }
-  InodeLock lock(kfs_->dev(), pr.node.inode_off, opts_.lease_ns);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(pcid, pinfo, lock, pr.node.inode_off);
-  auto existing = DirFind(pcid, dir, leaf);
-  if (existing.ok()) {
-    Dentry* d = *existing;
+  MaybeOnlineRepair(pcid, *pinfo, lock, pr.node.inode_off);
+  if (auto found = DirFind(pcid, dir, leaf); found.ok()) {
+    const Dentry* d = *found;
+    if (excl) {
+      return Err::kExist;
+    }
     if (d->cached_type() == kTypeSymlink) {
-      // Fall back to the generic path for symlink targets.
-      return Lookup(path, true);
+      return Lookup(norm, true);
     }
     return NodeRef{d->coffer_id != 0 ? d->coffer_id : pcid, d->inode_off};
   }
-  *created = true;
 
   const CofferRoot* croot = kfs_->RootPageOf(pcid);
-  if (opts_.one_coffer || SameGroup(mode, uid, gid, croot)) {
-    CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-    ASSIGN_OR_RETURN(inode_off, AllocInode(alloc, kTypeRegular, mode, uid, gid));
-    RETURN_IF_ERROR(DirInsert(pcid, pinfo, dir, leaf, 0, inode_off, kTypeRegular));
+  // Symlinks are path data, not protected content: they inherit the parent
+  // coffer's permission group.
+  const bool symlink = type == kTypeSymlink;
+  if (symlink || opts_.one_coffer || SameGroup(mode, uid, gid, croot)) {
+    CofferAllocator& alloc = AllocatorFor(pcid, *pinfo);
+    ASSIGN_OR_RETURN(inode_off, alloc.AllocPage(/*zero=*/false));
+    FormatInode(inode_off, type, symlink ? croot->mode : mode, uid, gid);
+    if (symlink) {
+      nvm::NvmDevice* dev = kfs_->dev();
+      const uint64_t len = symlink_target.size();
+      dev->Store16(inode_off + offsetof(Inode, symlink_len), static_cast<uint16_t>(len));
+      dev->StoreBytes(inode_off + offsetof(Inode, symlink_target), symlink_target.data(), len);
+      dev->Store64(inode_off + offsetof(Inode, size), len);
+      dev->PersistRange(inode_off, offsetof(Inode, symlink_target) + len);
+      AUDIT_DURABILITY_POINT(dev, inode_off, offsetof(Inode, symlink_target) + len);
+    }
+    RETURN_IF_ERROR(DirInsert(pcid, *pinfo, dir, leaf, 0, inode_off, type));
     return NodeRef{pcid, inode_off};
   }
-  std::string full = parent_path == "/" ? "/" + leaf : parent_path + "/" + leaf;
-  ASSIGN_OR_RETURN(new_cid, kfs_->CofferNew(*proc_, full, kernfs::kCofferTypeZofs, EffPerm(mode),
+
+  // Different permission group: the node becomes the root of a new coffer
+  // (paper §5, Figure 1).
+  ASSIGN_OR_RETURN(new_cid, kfs_->CofferNew(*proc_, norm, kernfs::kCofferTypeZofs, EffPerm(mode),
                                             uid, gid, /*extra_pages=*/2));
   ForgetMapping(new_cid);  // the id may be recycled from a deleted coffer
   ASSIGN_OR_RETURN(ninfo, EnsureMapped(new_cid, true));
   {
     mpk::AccessWindow w2(ninfo.key, true);
-    Inode fresh{};
-    fresh.magic = kInodeMagic;
-    fresh.type = kTypeRegular;
-    fresh.mode = mode;
-    fresh.uid = uid;
-    fresh.gid = gid;
-    fresh.nlink = 1;
-    fresh.mtime_ns = fresh.ctime_ns = common::NowNs();
-    kfs_->dev()->StoreBytes(ninfo.root_inode_off, &fresh, kInodeCoreBytes);
-    kfs_->dev()->PersistRange(ninfo.root_inode_off, kInodeCoreBytes);
+    FormatInode(ninfo.root_inode_off, type, mode, uid, gid);
     CofferAllocator::InitPool(kfs_->dev(), ninfo.custom_off);
   }
-  RETURN_IF_ERROR(DirInsert(pcid, pinfo, dir, leaf, new_cid, ninfo.root_inode_off, kTypeRegular));
+  RETURN_IF_ERROR(DirInsert(pcid, *pinfo, dir, leaf, new_cid, ninfo.root_inode_off, type));
   return NodeRef{new_cid, ninfo.root_inode_off};
+}
+
+Result<NodeRef> ZoFs::Create(const std::string& path, uint16_t mode, bool excl) {
+  AUDIT_SCOPE("ZoFs::Create");
+  return CreateNode(path, kTypeRegular, mode, excl);
 }
 
 Status ZoFs::Mkdir(const std::string& path, uint16_t mode) {
   AUDIT_SCOPE("ZoFs::Mkdir");
-  ASSIGN_OR_RETURN(pp, vfs::SplitParent(vfs::NormalizePath(path)));
-  const auto& [parent_path, leaf] = pp;
-  ASSIGN_OR_RETURN(pr, Resolve(parent_path, true));
-  const uint32_t pcid = pr.node.coffer_id;
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(pcid, true));
-  const uint32_t uid = proc_->cred().uid;
-  const uint32_t gid = proc_->cred().gid;
-
-  mpk::AccessWindow w(pinfo.key, true);
-  Inode* dir = Ino(pr.node.inode_off);
-  if (dir->magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
-  }
-  if (dir->type != kTypeDirectory) {
-    return Err::kNotDir;
-  }
-  InodeLock lock(kfs_->dev(), pr.node.inode_off, opts_.lease_ns);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(pcid, pinfo, lock, pr.node.inode_off);
-  if (DirFind(pcid, dir, leaf).ok()) {
-    return Err::kExist;
-  }
-
-  const CofferRoot* croot = kfs_->RootPageOf(pcid);
-  if (opts_.one_coffer || SameGroup(mode, uid, gid, croot)) {
-    CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-    ASSIGN_OR_RETURN(inode_off, AllocInode(alloc, kTypeDirectory, mode, uid, gid));
-    return DirInsert(pcid, pinfo, dir, leaf, 0, inode_off, kTypeDirectory);
-  }
-
-  std::string full = parent_path == "/" ? "/" + leaf : parent_path + "/" + leaf;
-  ASSIGN_OR_RETURN(new_cid, kfs_->CofferNew(*proc_, full, kernfs::kCofferTypeZofs, EffPerm(mode),
-                                            uid, gid, /*extra_pages=*/2));
-  ForgetMapping(new_cid);  // the id may be recycled from a deleted coffer
-  ASSIGN_OR_RETURN(ninfo, EnsureMapped(new_cid, true));
-  {
-    mpk::AccessWindow w2(ninfo.key, true);
-    Inode fresh{};
-    fresh.magic = kInodeMagic;
-    fresh.type = kTypeDirectory;
-    fresh.mode = mode;
-    fresh.uid = uid;
-    fresh.gid = gid;
-    fresh.nlink = 2;
-    fresh.mtime_ns = fresh.ctime_ns = common::NowNs();
-    kfs_->dev()->StoreBytes(ninfo.root_inode_off, &fresh, sizeof(fresh));
-    kfs_->dev()->PersistRange(ninfo.root_inode_off, sizeof(fresh));
-    CofferAllocator::InitPool(kfs_->dev(), ninfo.custom_off);
-  }
-  return DirInsert(pcid, pinfo, dir, leaf, new_cid, ninfo.root_inode_off, kTypeDirectory);
+  RETURN_IF_ERROR(CreateNode(path, kTypeDirectory, mode, /*excl=*/true));
+  return common::OkStatus();
 }
 
 Status ZoFs::Symlink(const std::string& target, const std::string& linkpath) {
@@ -1584,42 +1503,8 @@ Status ZoFs::Symlink(const std::string& target, const std::string& linkpath) {
   if (target.size() >= sizeof(Inode{}.symlink_target)) {
     return Err::kNameTooLong;
   }
-  ASSIGN_OR_RETURN(pp, vfs::SplitParent(vfs::NormalizePath(linkpath)));
-  const auto& [parent_path, leaf] = pp;
-  ASSIGN_OR_RETURN(pr, Resolve(parent_path, true));
-  const uint32_t pcid = pr.node.coffer_id;
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(pcid, true));
-
-  mpk::AccessWindow w(pinfo.key, true);
-  Inode* dir = Ino(pr.node.inode_off);
-  if (dir->magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
-  }
-  if (dir->type != kTypeDirectory) {
-    return Err::kNotDir;
-  }
-  InodeLock lock(kfs_->dev(), pr.node.inode_off, opts_.lease_ns);
-  if (!lock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(pcid, pinfo, lock, pr.node.inode_off);
-  if (DirFind(pcid, dir, leaf).ok()) {
-    return Err::kExist;
-  }
-  // Symlinks inherit the parent coffer's permission group: they are
-  // path data, not protected content.
-  const CofferRoot* croot = kfs_->RootPageOf(pcid);
-  CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-  ASSIGN_OR_RETURN(inode_off,
-                   AllocInode(alloc, kTypeSymlink, static_cast<uint16_t>(croot->mode),
-                              proc_->cred().uid, proc_->cred().gid));
-  nvm::NvmDevice* dev = kfs_->dev();
-  dev->Store16(inode_off + offsetof(Inode, symlink_len), static_cast<uint16_t>(target.size()));
-  dev->StoreBytes(inode_off + offsetof(Inode, symlink_target), target.data(), target.size());
-  dev->Store64(inode_off + offsetof(Inode, size), target.size());
-  dev->PersistRange(inode_off, offsetof(Inode, symlink_target) + target.size());
-  AUDIT_DURABILITY_POINT(dev, inode_off, offsetof(Inode, symlink_target) + target.size());
-  return DirInsert(pcid, pinfo, dir, leaf, 0, inode_off, kTypeSymlink);
+  RETURN_IF_ERROR(CreateNode(linkpath, kTypeSymlink, 0, /*excl=*/true, target));
+  return common::OkStatus();
 }
 
 Result<std::string> ZoFs::ReadLink(const std::string& path) {
@@ -1660,16 +1545,7 @@ Status ZoFs::Unlink(const std::string& path) {
   const uint32_t child_cid = d->coffer_id;
   const uint64_t child_inode = d->inode_off;
   RETURN_IF_ERROR(DirRemoveAt(dir, d));
-  if (child_cid != 0) {
-    // The file was the root of its own coffer: the kernel reclaims it whole.
-    // Drop our cached mapping/allocator — the id (root page index) can be
-    // reused by a future coffer.
-    RETURN_IF_ERROR(kfs_->CofferDelete(*proc_, child_cid));
-    ForgetMapping(child_cid);
-    return common::OkStatus();
-  }
-  CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-  return FreeNode(pcid, alloc, child_inode);
+  return ReleaseChild(pcid, pinfo, child_cid, child_inode);
 }
 
 Status ZoFs::Rmdir(const std::string& path) {
@@ -1710,13 +1586,7 @@ Status ZoFs::Rmdir(const std::string& path) {
   const uint32_t child_cid = d->coffer_id;
   const uint64_t child_inode = d->inode_off;
   RETURN_IF_ERROR(DirRemove(pcid, dir, r.leaf));
-  if (child_cid != 0) {
-    RETURN_IF_ERROR(kfs_->CofferDelete(*proc_, child_cid));
-    ForgetMapping(child_cid);
-    return common::OkStatus();
-  }
-  CofferAllocator& alloc = AllocatorFor(pcid, pinfo);
-  return FreeNode(pcid, alloc, child_inode);
+  return ReleaseChild(pcid, pinfo, child_cid, child_inode);
 }
 
 Result<vfs::StatBuf> ZoFs::StatNode(NodeRef node) {
@@ -1773,8 +1643,12 @@ Status ZoFs::EnsureAccess(NodeRef node, bool writable) {
     return Sick(node.coffer_id);
   }
   mpk::CheckAccess(node.inode_off, sizeof(Inode), false);
-  if (Ino(node.inode_off)->magic != kInodeMagic) {
+  const Inode* ino = Ino(node.inode_off);
+  if (ino->magic != kInodeMagic) {
     return Err::kCorrupt;  // object-local damage; coffer graph still trusted
+  }
+  if (writable && ino->type == kTypeDirectory) {
+    return Err::kIsDir;
   }
   return common::OkStatus();
 }
@@ -2584,12 +2458,25 @@ Result<uint32_t> ZoFs::SplitNodeIntoCoffer(const ResolveResult& r, const std::st
 
 Status ZoFs::Chmod(const std::string& path, uint16_t mode) {
   AUDIT_SCOPE("ZoFs::Chmod");
+  return ChangeAttrs(path, mode, std::nullopt);
+}
+
+Status ZoFs::Chown(const std::string& path, uint32_t uid, uint32_t gid) {
+  AUDIT_SCOPE("ZoFs::Chown");
+  return ChangeAttrs(path, std::nullopt, Owner{uid, gid});
+}
+
+Status ZoFs::ChangeAttrs(const std::string& path, std::optional<uint16_t> mode,
+                         std::optional<Owner> owner) {
   // May split the node into its own coffer, relocating its pages: drain open
   // append epochs first (stages pin volatile page addresses).
   RETURN_IF_ERROR(FlushAllStages());
   std::string norm = vfs::NormalizePath(path);
   ASSIGN_OR_RETURN(r, Resolve(norm, true));
   nvm::NvmDevice* dev = kfs_->dev();
+  if (owner && !proc_->cred().IsRoot()) {
+    return Err::kPerm;  // chown is root's
+  }
 
   const Inode snapshot = [&]() {
     Inode copy{};
@@ -2603,36 +2490,52 @@ Status ZoFs::Chmod(const std::string& path, uint16_t mode) {
   if (snapshot.magic != kInodeMagic) {
     return Err::kCorrupt;  // object-local damage; coffer graph still trusted
   }
-  if (!proc_->cred().IsRoot() && proc_->cred().uid != snapshot.uid) {
-    return Err::kPerm;
+  if (mode && !proc_->cred().IsRoot() && proc_->cred().uid != snapshot.uid) {
+    return Err::kPerm;  // chmod is the owner's or root's
   }
+  const uint16_t new_mode = mode.value_or(snapshot.mode);
+  const Owner new_owner = owner.value_or(Owner{snapshot.uid, snapshot.gid});
 
-  auto update_inode_mode = [&]() -> Status {
+  auto update_inode = [&]() -> Status {
     ASSIGN_OR_RETURN(info, EnsureMapped(r.node.coffer_id, true));
     mpk::AccessWindow w(info.key, true);
-    dev->Store16(r.node.inode_off + offsetof(Inode, mode), mode);
-    dev->PersistRange(r.node.inode_off + offsetof(Inode, mode), 2);
+    const uint64_t ino_off = r.node.inode_off;
+    if (mode) {
+      dev->Store16(ino_off + offsetof(Inode, mode), *mode);
+      dev->PersistRange(ino_off + offsetof(Inode, mode), 2);
+    }
+    if (owner) {
+      dev->Store32(ino_off + offsetof(Inode, uid), owner->uid);
+      dev->Store32(ino_off + offsetof(Inode, gid), owner->gid);
+      dev->PersistRange(ino_off + offsetof(Inode, uid), 8);
+    }
     return common::OkStatus();
   };
 
   if (r.is_coffer_root) {
-    // The file is a coffer root: the permission lives in the (kernel-owned)
-    // coffer root page — a single kernel call, no page movement. The inode's
-    // copy of the mode needs a writable mapping; take it while the old mode
-    // still grants it, since a mapping outlives the chmod but a new mode
-    // without owner write would refuse it.
-    (void)EnsureMapped(r.node.coffer_id, true);
-    RETURN_IF_ERROR(kfs_->CofferChmod(*proc_, r.node.coffer_id,
-                                      static_cast<uint16_t>(EffPerm(mode))));
-    return update_inode_mode();
+    // The node is a coffer root: the permission lives in the (kernel-owned)
+    // coffer root page — a single kernel call, no page movement.
+    if (mode) {
+      // The inode's copy of the mode needs a writable mapping; take it while
+      // the old mode still grants it, since a mapping outlives the chmod but
+      // a new mode without owner write would refuse it.
+      (void)EnsureMapped(r.node.coffer_id, true);
+      RETURN_IF_ERROR(kfs_->CofferChmod(*proc_, r.node.coffer_id,
+                                        static_cast<uint16_t>(EffPerm(*mode))));
+    } else {
+      RETURN_IF_ERROR(kfs_->CofferChown(*proc_, r.node.coffer_id, owner->uid, owner->gid));
+    }
+    return update_inode();
   }
-  if (opts_.one_coffer || EffPerm(mode) == EffPerm(snapshot.mode)) {
+  if (opts_.one_coffer ||
+      (EffPerm(new_mode) == EffPerm(snapshot.mode) && new_owner.uid == snapshot.uid &&
+       new_owner.gid == snapshot.gid)) {
     // Same permission group (or the 1-coffer variant): pure user-space
     // metadata update — the fast line of Table 9.
-    return update_inode_mode();
+    return update_inode();
   }
 
-  // The file leaves its permission group: split it into its own coffer.
+  // The node leaves its permission group: split it into its own coffer.
   ASSIGN_OR_RETURN(pinfo, EnsureMapped(r.parent.coffer_id, true));
   mpk::AccessWindow pw(pinfo.key, true);
   Inode* pdir = Ino(r.parent.inode_off);
@@ -2642,65 +2545,7 @@ Status ZoFs::Chmod(const std::string& path, uint16_t mode) {
   }
   MaybeOnlineRepair(r.parent.coffer_id, pinfo, plock, r.parent.inode_off);
 
-  ASSIGN_OR_RETURN(new_cid, SplitNodeIntoCoffer(r, norm, mode, snapshot.uid, snapshot.gid));
-  ASSIGN_OR_RETURN(d, DirFind(r.parent.coffer_id, pdir, r.leaf));
-  const uint64_t d_off = dev->OffsetOf(d);
-  dev->Store32(d_off + offsetof(Dentry, coffer_id), new_cid);
-  dev->PersistRange(d_off + offsetof(Dentry, coffer_id), 4);
-  return common::OkStatus();
-}
-
-Status ZoFs::Chown(const std::string& path, uint32_t uid, uint32_t gid) {
-  AUDIT_SCOPE("ZoFs::Chown");
-  // Same coffer-split hazard as Chmod: drain open append epochs first.
-  RETURN_IF_ERROR(FlushAllStages());
-  std::string norm = vfs::NormalizePath(path);
-  ASSIGN_OR_RETURN(r, Resolve(norm, true));
-  nvm::NvmDevice* dev = kfs_->dev();
-  if (!proc_->cred().IsRoot()) {
-    return Err::kPerm;
-  }
-
-  const Inode snapshot = [&]() {
-    Inode copy{};
-    auto key = KeyFor(r.node.coffer_id, false);
-    if (key.ok()) {
-      mpk::AccessWindow w(*key, false);
-      copy = *Ino(r.node.inode_off);
-    }
-    return copy;
-  }();
-  if (snapshot.magic != kInodeMagic) {
-    return Err::kCorrupt;  // object-local damage; coffer graph still trusted
-  }
-
-  auto update_inode_owner = [&]() -> Status {
-    ASSIGN_OR_RETURN(info, EnsureMapped(r.node.coffer_id, true));
-    mpk::AccessWindow w(info.key, true);
-    dev->Store32(r.node.inode_off + offsetof(Inode, uid), uid);
-    dev->Store32(r.node.inode_off + offsetof(Inode, gid), gid);
-    dev->PersistRange(r.node.inode_off + offsetof(Inode, uid), 8);
-    return common::OkStatus();
-  };
-
-  if (r.is_coffer_root) {
-    RETURN_IF_ERROR(kfs_->CofferChown(*proc_, r.node.coffer_id, uid, gid));
-    return update_inode_owner();
-  }
-  if (opts_.one_coffer || (uid == snapshot.uid && gid == snapshot.gid)) {
-    return update_inode_owner();
-  }
-
-  ASSIGN_OR_RETURN(pinfo, EnsureMapped(r.parent.coffer_id, true));
-  mpk::AccessWindow pw(pinfo.key, true);
-  Inode* pdir = Ino(r.parent.inode_off);
-  InodeLock plock(dev, r.parent.inode_off, opts_.lease_ns);
-  if (!plock.ok()) {
-    return Err::kBusy;
-  }
-  MaybeOnlineRepair(r.parent.coffer_id, pinfo, plock, r.parent.inode_off);
-
-  ASSIGN_OR_RETURN(new_cid, SplitNodeIntoCoffer(r, norm, snapshot.mode, uid, gid));
+  ASSIGN_OR_RETURN(new_cid, SplitNodeIntoCoffer(r, norm, new_mode, new_owner.uid, new_owner.gid));
   ASSIGN_OR_RETURN(d, DirFind(r.parent.coffer_id, pdir, r.leaf));
   const uint64_t d_off = dev->OffsetOf(d);
   dev->Store32(d_off + offsetof(Dentry, coffer_id), new_cid);
@@ -2798,19 +2643,6 @@ void ZoFs::EndRenameIntent(const MapInfo& info) {
       info.custom_off + offsetof(AllocPool, rename_intent) + offsetof(RenameIntent, magic);
   dev->AtomicStore64(magic_off, 0);
   dev->PersistRange(magic_off, 8);
-}
-
-Status ZoFs::FreeRenameVictim(uint32_t dcid, const MapInfo& dinfo, uint64_t old_dst_ino,
-                              uint32_t old_dst_coffer) {
-  if (old_dst_coffer != 0) {
-    // The overwritten destination rooted its own coffer: the kernel reclaims
-    // it whole.
-    RETURN_IF_ERROR(kfs_->CofferDelete(*proc_, old_dst_coffer));
-    ForgetMapping(old_dst_coffer);
-    return common::OkStatus();
-  }
-  CofferAllocator& alloc = AllocatorFor(dcid, dinfo);
-  return FreeNode(dcid, alloc, old_dst_ino);
 }
 
 Status ZoFs::Rename(const std::string& from, const std::string& to) {
@@ -2971,7 +2803,7 @@ Status ZoFs::Rename(const std::string& from, const std::string& to) {
       common::KillPoint(common::kKillMidRenameIntent);
       RETURN_IF_ERROR(DirRemoveAt(sdir, sd));
       if (dd != nullptr) {
-        RETURN_IF_ERROR(FreeRenameVictim(dcid, dinfo, in.old_dst_ino, in.old_dst_coffer));
+        RETURN_IF_ERROR(ReleaseChild(dcid, dinfo, in.old_dst_coffer, in.old_dst_ino));
       }
       Status tail = common::OkStatus();
       if (d.coffer_id != 0) {
@@ -2991,65 +2823,10 @@ Status ZoFs::Rename(const std::string& from, const std::string& to) {
   // point (retarget), so a mid-move failure cannot lose it; full cross-
   // coffer crash atomicity (one intent spanning two coffers) is future work
   // — the insert-before-remove order at least never loses the moved node.
-  if (d.coffer_id != 0) {
-    // The node is already its own coffer: move the dentry and re-path it.
-    return lock_both_and([&]() -> Status {
-      mpk::AccessWindow w(dinfo.key, true);
-      Inode* ddir = Ino(dstp.node.inode_off);
-      if (ddir->type != kTypeDirectory) {
-        return Err::kNotDir;
-      }
-      bool same_file = false;
-      Dentry* dd = nullptr;
-      {
-        auto found = PrepareRenameDst(dcid, ddir, to_leaf, node_type, d.coffer_id, d.inode_off,
-                                      &same_file);
-        if (found.ok()) {
-          dd = *found;
-        } else if (found.error() != Err::kNoEnt) {
-          return found.error();
-        }
-      }
-      if (same_file) {
-        return common::OkStatus();
-      }
-      uint64_t old_dst_ino = 0;
-      uint32_t old_dst_coffer = 0;
-      if (dd != nullptr) {
-        old_dst_ino = dd->inode_off;
-        old_dst_coffer = dd->coffer_id;
-        RETURN_IF_ERROR(DirReplaceTarget(ddir, dd, d.coffer_id, d.inode_off, node_type));
-      } else {
-        RETURN_IF_ERROR(DirInsert(dcid, dinfo, ddir, to_leaf, d.coffer_id, d.inode_off, node_type));
-      }
-      {
-        mpk::AccessWindow w2(sinfo.key, true);
-        Inode* sdir = Ino(src.parent.inode_off);
-        RETURN_IF_ERROR(DirRemove(scid, sdir, src.leaf));
-      }
-      if (dd != nullptr) {
-        RETURN_IF_ERROR(FreeRenameVictim(dcid, dinfo, old_dst_ino, old_dst_coffer));
-      }
-      return kfs_->CofferRename(*proc_, d.coffer_id, nto);
-    });
-  }
-
-  // The node's pages live inside the source coffer and must change owner.
-  {
-    mpk::AccessWindow w(sinfo.key, false);
-    if (!ValidMetaPage(d.inode_off)) {
-      return Sick(scid);
-    }
-  }
-  const Inode snapshot = [&]() {
-    mpk::AccessWindow w(sinfo.key, false);
-    return *Ino(d.inode_off);
-  }();
-  const CofferRoot* droot = kfs_->RootPageOf(dcid);
-
   // Validates the destination slot and snapshots a displaced node before any
   // pages move, so every fallible step precedes the first destructive one.
   struct DstPlan {
+    bool same_file = false;  // src and dst name the same node
     bool overwrite = false;
     Dentry* dd = nullptr;
     uint64_t old_dst_ino = 0;
@@ -3062,9 +2839,8 @@ Status ZoFs::Rename(const std::string& from, const std::string& to) {
     if (ddir->type != kTypeDirectory) {
       return Err::kNotDir;
     }
-    bool same_file = false;
-    auto found =
-        PrepareRenameDst(dcid, ddir, to_leaf, node_type, d.coffer_id, d.inode_off, &same_file);
+    auto found = PrepareRenameDst(dcid, ddir, to_leaf, node_type, d.coffer_id, d.inode_off,
+                                  &plan.same_file);
     if (found.ok()) {
       plan.overwrite = true;
       plan.dd = *found;
@@ -3094,15 +2870,43 @@ Status ZoFs::Rename(const std::string& from, const std::string& to) {
     }
     if (plan.overwrite) {
       mpk::AccessWindow w(dinfo.key, true);
-      RETURN_IF_ERROR(FreeRenameVictim(dcid, dinfo, plan.old_dst_ino, plan.old_dst_coffer));
+      RETURN_IF_ERROR(ReleaseChild(dcid, dinfo, plan.old_dst_coffer, plan.old_dst_ino));
     }
     return common::OkStatus();
   };
+
+  if (d.coffer_id != 0) {
+    // The node is already its own coffer: move the dentry and re-path it.
+    return lock_both_and([&]() -> Status {
+      ASSIGN_OR_RETURN(plan, plan_dst());
+      if (plan.same_file) {
+        return common::OkStatus();
+      }
+      RETURN_IF_ERROR(commit_dst(plan, d.coffer_id));
+      return kfs_->CofferRename(*proc_, d.coffer_id, nto);
+    });
+  }
+
+  // The node's pages live inside the source coffer and must change owner.
+  {
+    mpk::AccessWindow w(sinfo.key, false);
+    if (!ValidMetaPage(d.inode_off)) {
+      return Sick(scid);
+    }
+  }
+  const Inode snapshot = [&]() {
+    mpk::AccessWindow w(sinfo.key, false);
+    return *Ino(d.inode_off);
+  }();
+  const CofferRoot* droot = kfs_->RootPageOf(dcid);
 
   if (SameGroup(snapshot.mode, snapshot.uid, snapshot.gid, droot)) {
     // Same permission group as the destination coffer: bulk page move.
     return lock_both_and([&]() -> Status {
       ASSIGN_OR_RETURN(plan, plan_dst());
+      if (plan.same_file) {
+        return common::OkStatus();
+      }
       std::vector<PageRun> runs;
       {
         mpk::AccessWindow w(sinfo.key, true);
@@ -3122,6 +2926,9 @@ Status ZoFs::Rename(const std::string& from, const std::string& to) {
   // Different permission group: the node becomes its own coffer at `to`.
   return lock_both_and([&]() -> Status {
     ASSIGN_OR_RETURN(plan, plan_dst());
+    if (plan.same_file) {
+      return common::OkStatus();
+    }
     ResolveResult fake = src;
     ASSIGN_OR_RETURN(new_cid,
                      SplitNodeIntoCoffer(fake, nto, snapshot.mode, snapshot.uid, snapshot.gid));

@@ -19,7 +19,9 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -134,11 +136,7 @@ class ZoFs final : public ufs::MicroFs {
 
   // ---- namespace operations (paths absolute and normalized) ----
   Result<NodeRef> Lookup(const std::string& path, bool follow_last_symlink) override;
-  Result<NodeRef> Create(const std::string& path, uint16_t mode) override;
-  // Single-walk open-or-create (the open(2) O_CREAT fast path): resolves the
-  // parent once, returns the existing node or creates it. `created` reports
-  // which happened.
-  Result<NodeRef> OpenOrCreate(const std::string& path, uint16_t mode, bool* created) override;
+  Result<NodeRef> Create(const std::string& path, uint16_t mode, bool excl) override;
   Status Mkdir(const std::string& path, uint16_t mode) override;
   Status Unlink(const std::string& path) override;
   Status Rmdir(const std::string& path) override;
@@ -323,9 +321,6 @@ class ZoFs final : public ufs::MicroFs {
   Status BeginRenameIntent(const kernfs::MapInfo& info, const RenameIntent& body);
   // Clears the intent slot (the rename fully applied).
   void EndRenameIntent(const kernfs::MapInfo& info);
-  // Frees an overwritten destination node once the rename has committed.
-  Status FreeRenameVictim(uint32_t dcid, const kernfs::MapInfo& dinfo, uint64_t old_dst_ino,
-                          uint32_t old_dst_coffer);
   // Rolls a committed rename intent forward or back before traversal
   // (called from RecoverOne under the coffer window).
   Status RepairPendingRename(uint32_t cid, const kernfs::MapInfo& info,
@@ -436,10 +431,22 @@ class ZoFs final : public ufs::MicroFs {
   Status FreeBlocksFrom(CofferAllocator& alloc, Inode* ino, uint64_t first_blk);
 
   // --- node lifecycle ---
-  Result<uint64_t> AllocInode(CofferAllocator& alloc, uint32_t type, uint16_t mode, uint32_t uid,
-                              uint32_t gid);
+  // Writes a fresh inode at `inode_off` and persists its core (the symlink
+  // area stays untouched). Caller holds a writable window.
+  void FormatInode(uint64_t inode_off, uint32_t type, uint16_t mode, uint32_t uid, uint32_t gid);
+  // The one create path (Create, Mkdir, Symlink): resolves the parent once
+  // and, under its lock, returns an existing name (see MicroFs::Create) or
+  // makes `type` there. A node whose permission group differs from the
+  // parent coffer's becomes the root of a new coffer (paper §5, Figure 1);
+  // symlinks always stay in the parent's coffer, with its mode.
+  Result<NodeRef> CreateNode(const std::string& path, uint32_t type, uint16_t mode, bool excl,
+                             std::string_view symlink_target = {});
   // Frees an inode page plus everything it owns (same-coffer only).
   Status FreeNode(uint32_t cid, CofferAllocator& alloc, uint64_t inode_off);
+  // Releases a child whose dentry is gone from a directory in coffer `cid`:
+  // a coffer root goes back to the kernel whole, any other node is freed.
+  Status ReleaseChild(uint32_t cid, const kernfs::MapInfo& info, uint32_t child_coffer,
+                      uint64_t child_inode);
 
   CofferAllocator& AllocatorFor(uint32_t cid, const kernfs::MapInfo& info);
 
@@ -456,6 +463,15 @@ class ZoFs final : public ufs::MicroFs {
   // with the given permission; updates the parent dentry.
   Result<uint32_t> SplitNodeIntoCoffer(const ResolveResult& r, const std::string& path,
                                        uint16_t mode, uint32_t uid, uint32_t gid);
+  // The body of Chmod (`mode` set) and Chown (`owner` set): a coffer root
+  // changes through the kernel, a node that keeps its permission group
+  // changes in place, and any other node splits into its own coffer.
+  struct Owner {
+    uint32_t uid;
+    uint32_t gid;
+  };
+  Status ChangeAttrs(const std::string& path, std::optional<uint16_t> mode,
+                     std::optional<Owner> owner);
 
   kernfs::KernFs* kfs_;
   kernfs::Process* proc_;

@@ -59,9 +59,27 @@ TEST_P(FsConformanceTest, MissingFileIsNoEnt) {
 }
 
 TEST_P(FsConformanceTest, ExclusiveCreate) {
+  // O_EXCL never follows the last component: a symlink, live or dangling,
+  // and a directory make the name exist as much as a file does.
   ASSERT_TRUE(fs_->Open(kCred, "/x", vfs::kCreate | vfs::kWrite, 0644).ok());
-  EXPECT_EQ(fs_->Open(kCred, "/x", vfs::kCreate | vfs::kExcl | vfs::kWrite, 0644).error(),
-            common::Err::kExist);
+  ASSERT_TRUE(fs_->Symlink(kCred, "/x", "/live").ok());
+  ASSERT_TRUE(fs_->Symlink(kCred, "/nowhere", "/dangling").ok());
+  ASSERT_TRUE(fs_->Mkdir(kCred, "/dir", 0755).ok());
+  for (const char* p : {"/x", "/live", "/dangling", "/dir", "/"}) {
+    SCOPED_TRACE(p);
+    EXPECT_EQ(fs_->Open(kCred, p, vfs::kCreate | vfs::kExcl | vfs::kWrite, 0644).error(),
+              common::Err::kExist);
+  }
+  EXPECT_EQ(fs_->Stat(kCred, "/nowhere").error(), common::Err::kNoEnt);
+}
+
+TEST_P(FsConformanceTest, DirectoryOpenedForWritingIsEisdir) {
+  ASSERT_TRUE(fs_->Mkdir(kCred, "/d", 0755).ok());
+  EXPECT_EQ(fs_->Open(kCred, "/d", vfs::kWrite, 0).error(), common::Err::kIsDir);
+  EXPECT_EQ(fs_->Open(kCred, "/d", vfs::kCreate | vfs::kWrite, 0644).error(),
+            common::Err::kIsDir);
+  EXPECT_EQ(fs_->Open(kCred, "/", vfs::kCreate | vfs::kRdWr, 0644).error(), common::Err::kIsDir);
+  EXPECT_TRUE(fs_->Open(kCred, "/d", vfs::kRead, 0).ok());
 }
 
 TEST_P(FsConformanceTest, TruncateOnOpen) {
@@ -157,11 +175,15 @@ TEST_P(FsConformanceTest, SymlinkAndReadlink) {
   auto rl = fs_->ReadLink(kCred, "/link");
   ASSERT_TRUE(rl.ok());
   EXPECT_EQ(*rl, "/target");
-  auto through = fs_->Open(kCred, "/link", vfs::kRead, 0);
-  ASSERT_TRUE(through.ok());
-  char buf[8];
-  auto r = fs_->Read(*through, buf, sizeof(buf));
-  EXPECT_EQ(std::string(buf, *r), "hi");
+  // Plain and O_CREAT opens both follow a live link to its target.
+  for (uint32_t flags : {vfs::kRead, vfs::kCreate | vfs::kRdWr}) {
+    auto through = fs_->Open(kCred, "/link", flags, 0644);
+    ASSERT_TRUE(through.ok()) << common::ErrName(through.error());
+    char buf[8];
+    auto r = fs_->Read(*through, buf, sizeof(buf));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(std::string(buf, *r), "hi");
+  }
 }
 
 TEST_P(FsConformanceTest, ChmodChangesMode) {

@@ -290,6 +290,33 @@ TEST_F(ProtectionTest, CofferRootChmodMovesCachedClass) {
   }
 }
 
+TEST_F(ProtectionTest, CreateInUnwritableDirFindsExistingNameFirst) {
+  // POSIX checks for an existing name before write permission on its
+  // parent: a caller that cannot write /ro still opens /ro/f with O_CREAT
+  // and gets EEXIST from mkdir and O_EXCL. Only a new name is EACCES.
+  const vfs::Cred root{0, 0};
+  fslib::FsLib owner(kfs_.get(), root);
+  ASSERT_TRUE(owner.Mkdir(root, "/ro", 0755).ok());
+  auto fd = owner.Open(root, "/ro/f", vfs::kCreate | vfs::kWrite, 0644);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(owner.Write(*fd, "data", 4).ok());
+  ASSERT_TRUE(owner.Close(*fd).ok());
+
+  const vfs::Cred user{100, 100};
+  fslib::FsLib p(kfs_.get(), user);
+  auto rd = p.Open(user, "/ro/f", vfs::kCreate | vfs::kRead, 0644);
+  ASSERT_TRUE(rd.ok()) << common::ErrName(rd.error());
+  char buf[4] = {};
+  auto n = p.Read(*rd, buf, sizeof(buf));
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(std::string(buf, *n), "data");
+  EXPECT_EQ(p.Mkdir(user, "/ro/f", 0755).error(), Err::kExist);
+  EXPECT_EQ(p.Open(user, "/ro/f", vfs::kCreate | vfs::kExcl | vfs::kWrite, 0644).error(),
+            Err::kExist);
+  EXPECT_EQ(p.Open(user, "/ro/g", vfs::kCreate | vfs::kWrite, 0644).error(), Err::kAcces);
+  EXPECT_EQ(p.Mkdir(user, "/ro/g", 0755).error(), Err::kAcces);
+}
+
 TEST_F(ProtectionTest, SetuidStyleCredChangeRevokesAccess) {
   // After a process's credentials change, a previously mapped private coffer
   // can no longer be (re)mapped by a fresh process with the new identity.

@@ -129,9 +129,12 @@ if ! diff -q "$A" "$B" >/dev/null; then
 fi
 if [ "$PMEM_OK" -eq 1 ]; then gate "pmem-audit" PASS; else gate "pmem-audit" FAIL; fi
 
-step "crash_explore: DWOL + staged-append DWAL + channel CHURN on zofs, bounded sweeps + determinism check"
+step "crash_explore: DWOL, DWAL, CHURN, MWRL and MIXED on zofs, bounded sweeps + determinism check"
+# DWOL overwrites, DWAL staged appends, CHURN channel refills; MWRL renames
+# over coffer roots and MIXED mixes creates, mkdir/rmdir, renames and unlinks
+# (the namespace paths of the create, release and rename code).
 CRASH_OK=1
-for wl in DWOL DWAL CHURN; do
+for wl in DWOL DWAL CHURN MWRL MIXED; do
   A=$(mktmp); B=$(mktmp)
   "$BUILD_DIR"/tools/crash_explore --workload=$wl --ops=100 --max-points=200 --json > "$A" || CRASH_OK=0
   "$BUILD_DIR"/tools/crash_explore --workload=$wl --ops=100 --max-points=200 --json > "$B" || CRASH_OK=0
