@@ -7,6 +7,8 @@
 #include <cstring>
 #include <sstream>
 
+#include "src/common/json.h"
+
 namespace audit {
 
 namespace {
@@ -37,36 +39,6 @@ uint64_t DepTid() {
     t_dep_tid = g_next_dep_tid.fetch_add(1, std::memory_order_relaxed);
   }
   return t_dep_tid;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 std::string FormatRange(uint64_t off, size_t len) {
@@ -180,8 +152,8 @@ std::string Report::ToJson() const {
     const Finding& f = findings[i];
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\"severity\": \"" << SeverityName(f.severity()) << "\", \"kind\": \""
-       << KindName(f.kind) << "\", \"site\": \"" << JsonEscape(f.site) << "\", \"count\": "
-       << f.count << ", \"detail\": \"" << JsonEscape(f.detail) << "\"}";
+       << KindName(f.kind) << "\", \"site\": \"" << common::JsonEscape(f.site) << "\", \"count\": "
+       << f.count << ", \"detail\": \"" << common::JsonEscape(f.detail) << "\"}";
   }
   os << (findings.empty() ? "]\n" : "\n  ]\n");
   os << "}\n";

@@ -2,6 +2,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/common/json.h"
 #include "src/common/rand.h"
 #include "src/common/result.h"
 #include "src/common/stats.h"
@@ -158,6 +159,36 @@ std::string HumanNs(double ns) {
 std::string HumanBytes(double bytes) {
   static const char* kSuffixes[] = {"B", "KB", "MB", "GB", "TB"};
   return FormatWithSuffix(bytes, kSuffixes, 5, 1024.0);
+}
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size() + 8);
+  for (char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
 }
 
 }  // namespace common

@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "src/common/clock.h"
+#include "src/common/json.h"
 #include "src/common/rand.h"
 #include "src/fslib/fslib.h"
 #include "src/kernfs/kernfs.h"
@@ -955,40 +956,6 @@ ExploreReport Explore(const ExploreOptions& opts) {
 // ---------------------------------------------------------------------------
 // Reports
 
-namespace {
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 std::string ExploreReport::ToText() const {
   std::ostringstream os;
   os << "crash_explore: " << workload << " on " << fs << ", " << ops_recorded
@@ -1012,8 +979,8 @@ std::string ExploreReport::ToText() const {
 std::string ExploreReport::ToJson() const {
   std::ostringstream os;
   os << "{\n";
-  os << "  \"fs\": \"" << JsonEscape(fs) << "\",\n";
-  os << "  \"workload\": \"" << JsonEscape(workload) << "\",\n";
+  os << "  \"fs\": \"" << common::JsonEscape(fs) << "\",\n";
+  os << "  \"workload\": \"" << common::JsonEscape(workload) << "\",\n";
   os << "  \"seed\": " << seed << ",\n";
   os << "  \"ops_recorded\": " << ops_recorded << ",\n";
   os << "  \"ops_failed\": " << ops_failed << ",\n";
@@ -1027,8 +994,8 @@ std::string ExploreReport::ToJson() const {
     os << (i == 0 ? "\n" : ",\n");
     os << "    {\"state_id\": " << v.state_id << ", \"epoch\": " << v.epoch
        << ", \"fence_seq\": " << v.fence_seq << ", \"mid_variant\": " << v.mid_variant
-       << ", \"kind\": \"" << JsonEscape(v.kind) << "\", \"detail\": \"" << JsonEscape(v.detail)
-       << "\"}";
+       << ", \"kind\": \"" << common::JsonEscape(v.kind)
+       << "\", \"detail\": \"" << common::JsonEscape(v.detail) << "\"}";
   }
   os << (violations.empty() ? "]\n" : "\n  ]\n");
   os << "}\n";

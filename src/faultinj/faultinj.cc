@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/json.h"
 #include "src/common/rand.h"
 #include "src/common/result.h"
 #include "src/fslib/fslib.h"
@@ -762,33 +763,6 @@ void Worker(const SetupInfo* s, const CampaignOptions* opts, const Trial* trials
   }
 }
 
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char b[8];
-          snprintf(b, sizeof(b), "\\u%04x", c);
-          out += b;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 size_t ClassIndex(FaultClass c) {
   for (size_t i = 0; i < std::size(kAllFaultClasses); i++) {
     if (kAllFaultClasses[i] == c) {
@@ -971,7 +945,7 @@ std::string CampaignReport::ToJson() const {
   os << "  \"raw_mode\": " << (raw_mode ? "true" : "false") << ",\n";
   os << "  \"trials\": " << trials << ",\n";
   if (!setup_error.empty()) {
-    os << "  \"setup_error\": \"" << JsonEscape(setup_error) << "\",\n";
+    os << "  \"setup_error\": \"" << common::JsonEscape(setup_error) << "\",\n";
   }
   auto stats = [&](const ClassStats& c) {
     os << "\"trials\": " << c.trials << ", \"detected\": " << c.detected
@@ -1002,8 +976,8 @@ std::string CampaignReport::ToJson() const {
     const TrialResult& r = results[i];
     os << "    {\"id\": " << r.trial_id << ", \"class\": \"" << FaultClassName(r.fault)
        << "\", \"victim\": " << r.victim_coffer << ", \"offset\": " << r.offset
-       << ", \"target\": \"" << JsonEscape(r.target) << "\", \"outcome\": \""
-       << OutcomeName(r.outcome) << "\", \"detail\": \"" << JsonEscape(r.detail) << "\"}"
+       << ", \"target\": \"" << common::JsonEscape(r.target) << "\", \"outcome\": \""
+       << OutcomeName(r.outcome) << "\", \"detail\": \"" << common::JsonEscape(r.detail) << "\"}"
        << (i + 1 < results.size() ? "," : "") << "\n";
   }
   os << "  ],\n";

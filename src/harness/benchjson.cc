@@ -1,6 +1,5 @@
 #include "src/harness/benchjson.h"
 
-#include <cstdlib>
 #include <cstdio>
 #include <sstream>
 #include <thread>
@@ -39,17 +38,6 @@ constexpr Kernel kTableKernels[] = {Kernel::kTable3, Kernel::kTable4};
 // stays hot).
 constexpr int kTableDirs = 64;
 constexpr uint64_t kTableRunLen = 16;
-
-// Errors in a bench kernel invalidate every counter downstream; abort loudly
-// (assert() is compiled out of release builds).
-#define CHECK_OK(expr)                                                    \
-  do {                                                                    \
-    if (!(expr).ok()) {                                                   \
-      std::fprintf(stderr, "bench_json: %s failed at %s:%d\n", #expr,     \
-                   __FILE__, __LINE__);                                   \
-      std::abort();                                                       \
-    }                                                                     \
-  } while (0)
 
 const char* KernelName(Kernel k) {
   switch (k) {

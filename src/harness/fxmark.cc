@@ -1,6 +1,5 @@
 #include "src/harness/fxmark.h"
 
-#include <cassert>
 #include <vector>
 
 #include "src/common/rand.h"
@@ -14,13 +13,13 @@ const vfs::Cred kCred{0, 0};
 // Writes `blocks` 4 KB blocks to `path`, creating it.
 void MakeFile(vfs::FileSystem* fs, const std::string& path, uint64_t blocks) {
   auto fd = fs->Open(kCred, path, vfs::kCreate | vfs::kWrite, 0644);
-  assert(fd.ok());
+  CHECK_OK(fd);
   std::vector<uint8_t> buf(kBlock * 16, 0xab);
   uint64_t written = 0;
   while (written < blocks) {
     uint64_t n = std::min<uint64_t>(16, blocks - written);
     auto w = fs->Pwrite(*fd, buf.data(), n * kBlock, written * kBlock);
-    assert(w.ok());
+    CHECK_OK(w);
     written += n;
   }
   fs->Close(*fd);
@@ -73,13 +72,13 @@ WorkloadResult RunFxmark(FsLab& lab, FxWorkload w, int threads, const FxOptions&
       }
       return RunThreads(threads, [&](int t) -> uint64_t {
         auto fd = fs->Open(kCred, "/drbl_" + std::to_string(t), vfs::kRead, 0);
-        assert(fd.ok());
+        CHECK_OK(fd);
         common::Rng rng(opts.seed + t);
         std::vector<uint8_t> buf(kBlock);
         for (uint64_t i = 0; i < opts.ops_per_thread; i++) {
           uint64_t blk = rng.Below(opts.file_blocks);
           auto r = fs->Pread(*fd, buf.data(), kBlock, blk * kBlock);
-          assert(r.ok());
+          CHECK_OK(r);
         }
         fs->Close(*fd);
         return opts.ops_per_thread;
@@ -90,7 +89,7 @@ WorkloadResult RunFxmark(FsLab& lab, FxWorkload w, int threads, const FxOptions&
       MakeFile(fs, "/shared_read", opts.file_blocks * threads);
       return RunThreads(threads, [&](int t) -> uint64_t {
         auto fd = fs->Open(kCred, "/shared_read", vfs::kRead, 0);
-        assert(fd.ok());
+        CHECK_OK(fd);
         common::Rng rng(opts.seed + t);
         std::vector<uint8_t> buf(kBlock);
         for (uint64_t i = 0; i < opts.ops_per_thread; i++) {
@@ -98,7 +97,7 @@ WorkloadResult RunFxmark(FsLab& lab, FxWorkload w, int threads, const FxOptions&
                              ? 0
                              : t * opts.file_blocks + rng.Below(opts.file_blocks);
           auto r = fs->Pread(*fd, buf.data(), kBlock, blk * kBlock);
-          assert(r.ok());
+          CHECK_OK(r);
         }
         fs->Close(*fd);
         return opts.ops_per_thread;
@@ -109,18 +108,18 @@ WorkloadResult RunFxmark(FsLab& lab, FxWorkload w, int threads, const FxOptions&
     case FxWorkload::kDWAL: {  // append to a private file
       for (int t = 0; t < threads; t++) {
         auto fd = fs->Open(kCred, "/dwal_" + std::to_string(t), vfs::kCreate | vfs::kWrite, 0644);
-        assert(fd.ok());
+        CHECK_OK(fd);
         fs->Close(*fd);
       }
       return RunThreads(threads, [&](int t) -> uint64_t {
         auto fd = fs->Open(kCred, "/dwal_" + std::to_string(t),
                            vfs::kWrite | vfs::kAppend, 0644);
-        assert(fd.ok());
+        CHECK_OK(fd);
         std::vector<uint8_t> buf(kBlock, 0x5a);
         uint64_t appended = 0;
         for (uint64_t i = 0; i < opts.ops_per_thread; i++) {
           auto r = fs->Write(*fd, buf.data(), kBlock);
-          assert(r.ok());
+          CHECK_OK(r);
           if (++appended >= opts.append_cap_blocks) {
             // Wrap to bound NVM usage (not counted as a workload op).
             fs->Ftruncate(*fd, 0);
@@ -138,11 +137,11 @@ WorkloadResult RunFxmark(FsLab& lab, FxWorkload w, int threads, const FxOptions&
       }
       return RunThreads(threads, [&](int t) -> uint64_t {
         auto fd = fs->Open(kCred, "/dwol_" + std::to_string(t), vfs::kWrite, 0644);
-        assert(fd.ok());
+        CHECK_OK(fd);
         std::vector<uint8_t> buf(kBlock, 0x6b);
         for (uint64_t i = 0; i < opts.ops_per_thread; i++) {
           auto r = fs->Pwrite(*fd, buf.data(), kBlock, 0);
-          assert(r.ok());
+          CHECK_OK(r);
         }
         fs->Close(*fd);
         return opts.ops_per_thread;
@@ -152,13 +151,13 @@ WorkloadResult RunFxmark(FsLab& lab, FxWorkload w, int threads, const FxOptions&
       MakeFile(fs, "/shared_write", opts.file_blocks * threads);
       return RunThreads(threads, [&](int t) -> uint64_t {
         auto fd = fs->Open(kCred, "/shared_write", vfs::kWrite, 0644);
-        assert(fd.ok());
+        CHECK_OK(fd);
         common::Rng rng(opts.seed + t);
         std::vector<uint8_t> buf(kBlock, 0x7c);
         for (uint64_t i = 0; i < opts.ops_per_thread; i++) {
           uint64_t blk = t * opts.file_blocks + rng.Below(opts.file_blocks);
           auto r = fs->Pwrite(*fd, buf.data(), kBlock, blk * kBlock);
-          assert(r.ok());
+          CHECK_OK(r);
         }
         fs->Close(*fd);
         return opts.ops_per_thread;
@@ -169,14 +168,14 @@ WorkloadResult RunFxmark(FsLab& lab, FxWorkload w, int threads, const FxOptions&
     case FxWorkload::kMWCL: {  // create in private directories
       for (int t = 0; t < threads; t++) {
         auto s = fs->Mkdir(kCred, "/mwcl_" + std::to_string(t), 0755);
-        assert(s.ok());
+        CHECK_OK(s);
       }
       return RunThreads(threads, [&](int t) -> uint64_t {
         std::string dir = "/mwcl_" + std::to_string(t) + "/";
         for (uint64_t i = 0; i < opts.ops_per_thread; i++) {
           auto fd = fs->Open(kCred, dir + "f" + std::to_string(i),
                              vfs::kCreate | vfs::kWrite, 0644);
-          assert(fd.ok());
+          CHECK_OK(fd);
           fs->Close(*fd);
         }
         return opts.ops_per_thread;
@@ -186,11 +185,11 @@ WorkloadResult RunFxmark(FsLab& lab, FxWorkload w, int threads, const FxOptions&
       for (int t = 0; t < threads; t++) {
         std::string dir = "/mwul_" + std::to_string(t);
         auto s = fs->Mkdir(kCred, dir, 0755);
-        assert(s.ok());
+        CHECK_OK(s);
         for (uint64_t i = 0; i < opts.ops_per_thread; i++) {
           auto fd = fs->Open(kCred, dir + "/f" + std::to_string(i),
                              vfs::kCreate | vfs::kWrite, 0644);
-          assert(fd.ok());
+          CHECK_OK(fd);
           fs->Close(*fd);
         }
       }
@@ -198,7 +197,7 @@ WorkloadResult RunFxmark(FsLab& lab, FxWorkload w, int threads, const FxOptions&
         std::string dir = "/mwul_" + std::to_string(t) + "/";
         for (uint64_t i = 0; i < opts.ops_per_thread; i++) {
           auto s = fs->Unlink(kCred, dir + "f" + std::to_string(i));
-          assert(s.ok());
+          CHECK_OK(s);
         }
         return opts.ops_per_thread;
       });
@@ -207,11 +206,11 @@ WorkloadResult RunFxmark(FsLab& lab, FxWorkload w, int threads, const FxOptions&
       for (int t = 0; t < threads; t++) {
         std::string dir = "/mwrl_" + std::to_string(t);
         auto s = fs->Mkdir(kCred, dir, 0755);
-        assert(s.ok());
+        CHECK_OK(s);
         for (uint64_t i = 0; i < opts.ops_per_thread; i++) {
           auto fd = fs->Open(kCred, dir + "/f" + std::to_string(i),
                              vfs::kCreate | vfs::kWrite, 0644);
-          assert(fd.ok());
+          CHECK_OK(fd);
           fs->Close(*fd);
         }
       }
@@ -220,7 +219,7 @@ WorkloadResult RunFxmark(FsLab& lab, FxWorkload w, int threads, const FxOptions&
         for (uint64_t i = 0; i < opts.ops_per_thread; i++) {
           auto s = fs->Rename(kCred, dir + "f" + std::to_string(i),
                               dir + "g" + std::to_string(i));
-          assert(s.ok());
+          CHECK_OK(s);
         }
         return opts.ops_per_thread;
       });

@@ -5,7 +5,19 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <functional>
+
+// Hard check for a bench kernel's calls: a failed op would invalidate every
+// counter downstream. (assert() is compiled out of RelWithDebInfo builds.)
+#define CHECK_OK(expr)                                                                     \
+  do {                                                                                     \
+    if (!(expr).ok()) {                                                                    \
+      std::fprintf(stderr, "harness: %s failed at %s:%d\n", #expr, __FILE__, __LINE__);  \
+      std::abort();                                                                        \
+    }                                                                                      \
+  } while (0)
 
 namespace harness {
 

@@ -7,13 +7,11 @@
 #include "src/common/clock.h"
 #include "src/common/killpoint.h"
 #include "src/mpk/mpk.h"
+#include "src/zofs/lease.h"
 
 namespace zofs {
 
 namespace {
-// No live thread stamps a lease further out than this past now; a bigger
-// expiry is corrupt metadata and the list is treated as reclaimable.
-constexpr uint64_t kMaxLeaseSlackNs = 60'000'000'000ull;
 // Per-thread cache of which pool list this thread holds, keyed by the pool's
 // NVM offset (unique per coffer across all processes). The paper stores this
 // in "a normal per-thread variable" (§5.2 footnote).
@@ -108,25 +106,21 @@ Result<uint32_t> CofferAllocator::AcquireList(nvm::FlushSet* flush) {
     t_my_list.erase(it);
   }
 
-  // Slow path: claim an unowned or lease-expired list via CAS on the owner.
+  // Slow path: claim an unowned list, or take over one whose lease is dead
+  // (an implausibly far expiry is corrupt and taken over too).
   for (uint32_t i = 0; i < kPoolLists; i++) {
-    LeasedFreeList* l = &p->lists[i];
-    uint64_t owner = l->owner_tid;
+    const uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + i * sizeof(LeasedFreeList);
+    const uint64_t owner_off = loff + offsetof(LeasedFreeList, owner_tid);
+    const uint64_t expiry_off = loff + offsetof(LeasedFreeList, lease_expiry_ns);
+    const uint64_t owner = dev->AtomicLoad64(owner_off);
     if (owner == tid) {
       // Our list from an earlier epoch whose lease lapsed: re-lease it.
-      uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + i * sizeof(LeasedFreeList);
-      dev->Store64(loff + offsetof(LeasedFreeList, lease_expiry_ns), now + lease_ns_);
+      dev->Store64(expiry_off, now + lease_ns_);
       dev->PersistRange(loff, sizeof(LeasedFreeList));
       t_my_list[pool_off_] = i;
       return i;
     }
-    if (owner != 0 && l->lease_expiry_ns > now &&
-        l->lease_expiry_ns <= now + kMaxLeaseSlackNs) {
-      continue;  // live lease; an implausibly-far expiry is corrupt: steal
-    }
-    uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + i * sizeof(LeasedFreeList);
-    if (dev->AtomicCas64(loff + offsetof(LeasedFreeList, owner_tid), owner, tid)) {
-      dev->Store64(loff + offsetof(LeasedFreeList, lease_expiry_ns), now + lease_ns_);
+    if (TryClaimLease(dev, owner_off, expiry_off, owner, tid, lease_ns_) != Claim::kNone) {
       dev->PersistRange(loff, sizeof(LeasedFreeList));
       t_my_list[pool_off_] = i;
       // Tenant death right after claiming the list: the owner word stays set

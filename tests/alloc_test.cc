@@ -11,6 +11,7 @@
 #include "src/nvm/nvm.h"
 #include "src/zofs/alloc.h"
 #include "src/zofs/layout.h"
+#include "tests/store_trap.h"
 
 namespace {
 
@@ -135,6 +136,27 @@ TEST_F(AllocTest, LeaseStealAfterExpiry) {
     got.insert(*p);
   }
   EXPECT_TRUE(got.count(parked_page)) << "expired lease's pages were not reclaimed";
+}
+
+TEST_F(AllocTest, FreshListClaimIsNotStealableInsideItsClaimWindow) {
+  // A claimant that CASes a list's owner word must already have stamped the
+  // lease expiry. Otherwise a second allocator running right after the CAS
+  // sees a new owner next to the fresh pool's zero expiry, takes the list
+  // over as dead, and both threads pop the same free pages.
+  const uint64_t list0 = info_.custom_off + offsetof(zofs::AllocPool, lists);
+  auto first = NewAlloc();
+  auto second = NewAlloc();
+  mpk::AccessWindow w(info_.key, true);
+  StoreTrap trap(dev_.get(), list0 + offsetof(zofs::LeasedFreeList, owner_tid), [&] {
+    zofs::ScopedTidOverride tid(202);
+    EXPECT_TRUE(second->AllocPage(false).ok());
+  });
+  {
+    zofs::ScopedTidOverride tid(101);
+    ASSERT_TRUE(first->AllocPage(false).ok());
+  }
+  ASSERT_TRUE(trap.fired());
+  EXPECT_EQ(dev_->Load64(list0 + offsetof(zofs::LeasedFreeList, owner_tid)), 101u);
 }
 
 TEST_F(AllocTest, DonateParksPagesOnFreeList) {

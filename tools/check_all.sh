@@ -103,15 +103,17 @@ else
   gate "clang-tidy" FAIL
 fi
 
-step "bench-budget: persistence-cost ceilings (bench/budgets.json)"
+step "bench-budget: persistence-cost ceilings (bench/budgets.json), determinism check"
 # Deterministic clwb/sfence-per-op regression gate for the epoch batcher:
-# runs the scalability sweep (fig8 skipped for speed) and compares the dwal
+# runs the scalability sweep (fig8 skipped for speed) twice and compares the
 # counters against the checked-in budgets. Counters are exact functions of
-# the seed, so this is host-independent.
+# the seed, so this is host-independent, and every field of every sweep
+# point except the wall-clock ones must repeat exactly across the two runs.
 cmake --build "$BUILD_DIR" -j --target bench_json
-J=$(mktmp)
+J=$(mktmp); J2=$(mktmp)
 if ZR_BENCH_FIG8=0 "$BUILD_DIR"/tools/bench_json "$J" >/dev/null &&
-   python3 tools/check_bench_budget.py "$J" bench/budgets.json; then
+   ZR_BENCH_FIG8=0 "$BUILD_DIR"/tools/bench_json "$J2" >/dev/null &&
+   python3 tools/check_bench_budget.py "$J" bench/budgets.json --repeat "$J2"; then
   gate "bench-budget" PASS
 else
   gate "bench-budget" FAIL
@@ -129,12 +131,13 @@ if ! diff -q "$A" "$B" >/dev/null; then
 fi
 if [ "$PMEM_OK" -eq 1 ]; then gate "pmem-audit" PASS; else gate "pmem-audit" FAIL; fi
 
-step "crash_explore: DWOL, DWAL, CHURN, MWRL and MIXED on zofs, bounded sweeps + determinism check"
-# DWOL overwrites, DWAL staged appends, CHURN channel refills; MWRL renames
-# over coffer roots and MIXED mixes creates, mkdir/rmdir, renames and unlinks
-# (the namespace paths of the create, release and rename code).
+step "crash_explore: every crashmon workload on zofs, bounded sweeps + determinism check"
+# DWOL overwrites, DWAL staged appends, CHURN channel refills; MWCL creates,
+# MWUL unlinks, MWRL renames over coffer roots and MIXED mixes creates,
+# mkdir/rmdir, renames and unlinks (the namespace paths of the create,
+# release and rename code).
 CRASH_OK=1
-for wl in DWOL DWAL CHURN MWRL MIXED; do
+for wl in DWOL DWAL CHURN MWCL MWUL MWRL MIXED; do
   A=$(mktmp); B=$(mktmp)
   "$BUILD_DIR"/tools/crash_explore --workload=$wl --ops=100 --max-points=200 --json > "$A" || CRASH_OK=0
   "$BUILD_DIR"/tools/crash_explore --workload=$wl --ops=100 --max-points=200 --json > "$B" || CRASH_OK=0

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Fails if a benchmark workload exceeds its persistence-cost budgets.
 
-Usage: check_bench_budget.py BENCH.json [bench/budgets.json]
+Usage: check_bench_budget.py BENCH.json [bench/budgets.json] [--repeat BENCH2.json]
 
 Budgets (bench/budgets.json) are per-op ceilings on *deterministic* counters
 from the zofs-bench-scale-v6 sweep — clwb_per_op, sfence_per_op,
@@ -10,32 +10,51 @@ across hosts and runs. A breach means the epoch batcher / staged-append fast
 path stopped absorbing flush and fence traffic, the per-thread channel
 stopped absorbing kernel crossings, or the MPK key-virtualization layer
 stopped sharing keys / windowing evictions; that is the regression this gate
-exists to catch, never wall-clock noise.
+exists to catch, never wall-clock noise. --repeat fails on any field of any
+sweep point, wall-clock ones aside, that differs in a second run of the sweep
+(src/harness/benchjson.h promises they repeat).
 """
 
 import json
 import sys
 
+TIMING_FIELDS = {"seconds", "ops_per_sec", "mean_ns", "p50_ns", "p99_ns"}
+
 
 def main():
-    if len(sys.argv) < 2:
-        print(f"usage: {sys.argv[0]} BENCH.json [budgets.json]", file=sys.stderr)
+    args = sys.argv[1:]
+    repeat = None
+    if "--repeat" in args[:-1]:
+        i = args.index("--repeat")
+        repeat = json.load(open(args[i + 1]))
+        del args[i:i + 2]
+    if not args:
+        print(f"usage: {sys.argv[0]} BENCH.json [budgets.json] [--repeat BENCH2.json]",
+              file=sys.stderr)
         return 2
-    bench = json.load(open(sys.argv[1]))
-    budgets_path = sys.argv[2] if len(sys.argv) > 2 else "bench/budgets.json"
-    budgets = json.load(open(budgets_path))
+    bench = json.load(open(args[0]))
+    budgets = json.load(open(args[1] if len(args) > 1 else "bench/budgets.json"))
 
     schema = bench.get("schema")
     if schema != "zofs-bench-scale-v6":
-        print(f"[FAIL] {sys.argv[1]}: schema {schema!r}, want zofs-bench-scale-v6")
+        print(f"[FAIL] {args[0]}: schema {schema!r}, want zofs-bench-scale-v6")
         return 1
 
     fail = 0
+    if repeat is not None:
+        a, b = bench["sweep"], repeat["sweep"]
+        diffs = [] if len(a) == len(b) else [f"{len(a)} sweep points vs {len(b)}"]
+        diffs += [f"{x['workload']}/{x['coffers']}/{x['threads']}t {k}: {x.get(k)} vs {y.get(k)}"
+                  for x, y in zip(a, b) for k in sorted(set(x) | set(y))
+                  if k not in TIMING_FIELDS and x.get(k) != y.get(k)]
+        for d in diffs:
+            print(f"[FAIL] not deterministic: {d}")
+            fail = 1
     for b in budgets["budgets"]:
         wl = b["workload"]
         pts = [p for p in bench.get("sweep", []) if p["workload"] == wl]
         if not pts:
-            print(f"[FAIL] {wl}: no sweep points in {sys.argv[1]}")
+            print(f"[FAIL] {wl}: no sweep points in {args[0]}")
             fail = 1
             continue
         for metric, ceiling in sorted(b["ceilings"].items()):

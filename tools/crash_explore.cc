@@ -16,6 +16,7 @@
 #include <string>
 
 #include "src/crashmon/crashmon.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -25,7 +26,8 @@ void Usage(const char* argv0) {
           "          [--mid-epoch=<n>] [--threads=<n>] [--seed=<n>] [--json] [--list]\n"
           "  --fs=zofs        file system to explore (only the ZoFS stack has\n"
           "                   a recovery path to exercise)\n"
-          "  --workload=<wl>  workload: DWOL MWCL MWUL MWRL MIXED (default: DWOL)\n"
+          "  --workload=<wl>  workload: DWOL MWCL MWUL MWRL MIXED DWAL CHURN\n"
+          "                   (default: DWOL)\n"
           "  --ops=<n>        operations recorded under capture (default: 400)\n"
           "  --max-points=<n> cap on explored crash states, 0 = all (default: 0)\n"
           "  --mid-epoch=<n>  mid-epoch states per fence (default: 2)\n"
@@ -38,14 +40,7 @@ void Usage(const char* argv0) {
           argv0);
 }
 
-bool FlagValue(const char* arg, const char* name, std::string* out) {
-  size_t n = strlen(name);
-  if (strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
+using tools::FlagValue;
 
 }  // namespace
 

@@ -14,6 +14,7 @@
 
 #include "src/audit/audit.h"
 #include "src/harness/fxmark.h"
+#include "tools/flags.h"
 
 namespace {
 
@@ -29,14 +30,7 @@ void Usage(const char* argv0) {
           argv0);
 }
 
-bool FlagValue(const char* arg, const char* name, std::string* out) {
-  size_t n = strlen(name);
-  if (strncmp(arg, name, n) == 0 && arg[n] == '=') {
-    *out = arg + n + 1;
-    return true;
-  }
-  return false;
-}
+using tools::FlagValue;
 
 }  // namespace
 
