@@ -10,6 +10,7 @@
 #include "src/common/clock.h"
 #include "src/common/hash.h"
 #include "src/common/rand.h"
+#include "src/common/striped_counter.h"
 #include "src/kernfs/channel.h"
 
 namespace kernfs {
@@ -39,8 +40,9 @@ uint64_t SumRuns(const std::map<uint64_t, uint64_t>& runs) {
 // KernelEntry
 
 namespace {
-std::atomic<uint64_t> g_crossing_count{0};
-std::atomic<uint64_t> g_bg_crossing_count{0};
+// Each crossing counts as exactly one of foreground or background.
+enum CrossingKind : size_t { kFgCrossing, kBgCrossing };
+common::StripedCounters<2> g_crossings;
 thread_local uint64_t t_thread_crossings = 0;
 thread_local int t_bg_depth = 0;
 // Non-reentrance audit: >0 while a KernelEntry is alive on this thread.
@@ -57,16 +59,11 @@ bool AuditEnvEnabled() {
 }
 }  // namespace
 
-uint64_t CrossingCount() { return g_crossing_count.load(std::memory_order_relaxed); }
+uint64_t CrossingCount() { return ForegroundCrossingCount() + BackgroundCrossingCount(); }
 
-uint64_t ForegroundCrossingCount() {
-  return g_crossing_count.load(std::memory_order_relaxed) -
-         g_bg_crossing_count.load(std::memory_order_relaxed);
-}
+uint64_t ForegroundCrossingCount() { return g_crossings.Sum(kFgCrossing); }
 
-uint64_t BackgroundCrossingCount() {
-  return g_bg_crossing_count.load(std::memory_order_relaxed);
-}
+uint64_t BackgroundCrossingCount() { return g_crossings.Sum(kBgCrossing); }
 
 uint64_t ThreadCrossingCount() { return t_thread_crossings; }
 
@@ -93,10 +90,7 @@ KernelEntry::KernelEntry(uint64_t crossing_ns)
     abort();
   }
   t_kernel_depth++;
-  g_crossing_count.fetch_add(1, std::memory_order_relaxed);
-  if (t_bg_depth > 0) {
-    g_bg_crossing_count.fetch_add(1, std::memory_order_relaxed);
-  }
+  g_crossings.Add(t_bg_depth > 0 ? kBgCrossing : kFgCrossing, 1);
   t_thread_crossings++;
   // The kernel is not subject to the user PKRU / user page-key bits.
   mpk::BindThreadToProcess(nullptr);

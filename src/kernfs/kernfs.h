@@ -485,14 +485,16 @@ class KernFs {
 // Process-wide count of simulated user->kernel crossings (KernelEntry
 // constructions) since program start. Global across KernFs instances;
 // benchmarks sample deltas around a measured phase to report crossings/op.
+// Counted in per-thread stripes (src/common/striped_counter.h) and summed on
+// read.
 uint64_t CrossingCount();
 
 // Foreground / background split of CrossingCount(). A crossing is background
 // when it executes under a BackgroundCrossingScope — async-ring drains, lease
 // housekeeping, backoff-driven recovery. Delta-sampling ForegroundCrossingCount
 // around a measured phase no longer attributes background work to the
-// foreground ops (the CrossingCount() mis-attribution bugfix).
-// Invariant: CrossingCount() == Foreground + Background.
+// foreground ops (the CrossingCount() mis-attribution bugfix). Each crossing
+// bumps exactly one of the two, and CrossingCount() is their sum.
 uint64_t ForegroundCrossingCount();
 uint64_t BackgroundCrossingCount();
 

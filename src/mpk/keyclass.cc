@@ -38,8 +38,16 @@ void KeyClassTable::Touch(uint16_t slot) {
   if (c == nullptr) {
     return;
   }
-  c->touched[slot % kSlotsPerChunk].store(
-      touch_clock_.fetch_add(1, std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+  std::atomic<uint64_t>& stamp = c->touched[slot % kSlotsPerChunk];
+  // Stamps are unique nonzero clock values, so a slot whose stamp equals the
+  // clock already holds the freshest one and a new stamp would not change the
+  // LRU order: skip the shared-clock write. The nonzero test matters on a
+  // fresh table, where the clock and every stamp are 0.
+  const uint64_t s = stamp.load(std::memory_order_relaxed);
+  if (s != 0 && s == touch_clock_.load(std::memory_order_relaxed)) {
+    return;
+  }
+  stamp.store(touch_clock_.fetch_add(1, std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
 uint16_t KeyClassTable::SlotFor(const ProtClass& cls) {

@@ -90,7 +90,10 @@ class KeyClassTable {
   // classes always carry the freshest stamps and EnsureKey's victim scan —
   // which picks the *oldest* stamp — can never demote a class the current
   // (single-threaded) op is still using. The hardware analog is the access
-  // bit a pkey-eviction daemon consults before stealing a key.
+  // bit a pkey-eviction daemon consults before stealing a key. Touch writes
+  // only when the LRU order would change: a slot that already holds the
+  // freshest stamp is left as it is, so the victim order is exactly that of
+  // stamping on every call.
   void Touch(uint16_t slot);
 
   // Membership/refcount: one Retain per mapped coffer in the class, one

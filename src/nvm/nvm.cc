@@ -1,5 +1,7 @@
 #include "src/nvm/nvm.h"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
@@ -45,13 +47,17 @@ NvmDevice::NvmDevice(const Options& opts)
       media_(opts.media),
       clwb_ns_(opts.clwb_ns),
       sfence_ns_(opts.sfence_ns) {
-  void* mem = nullptr;
-  int rc = posix_memalign(&mem, kPageSize, size_);
-  if (rc != 0 || mem == nullptr) {
+  // An anonymous private mapping reads as zeroes and is zero-filled by the
+  // kernel page by page on first touch, so a large device costs nothing
+  // until it is used. Huge pages where the kernel offers them (real PM is
+  // DAX-mapped with 2 MB pages too); the hint is advisory, so its result is
+  // ignored.
+  void* mem = mmap(nullptr, size_, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mem == MAP_FAILED) {
     abort();
   }
   base_ = static_cast<uint8_t*>(mem);
-  memset(base_, 0, size_);
+  madvise(base_, size_, MADV_HUGEPAGE);
   if (g_init_hook != nullptr) {
     g_init_hook(this);
   }
@@ -61,7 +67,7 @@ NvmDevice::~NvmDevice() {
   if (observer_ != nullptr) {
     observer_->OnDeviceGone(this);
   }
-  free(base_);
+  munmap(base_, size_);
 }
 
 void NvmDevice::CheckAccess(uint64_t off, size_t len, bool is_write) const {
@@ -97,7 +103,7 @@ void NvmDevice::TrackStore(uint64_t off, size_t len) {
 }
 
 void NvmDevice::ChargeWrite(size_t n) {
-  bytes_written_.fetch_add(n, std::memory_order_relaxed);
+  counters_.Add(kBytesWritten, n);
   if (!media_.enabled()) {
     return;
   }
@@ -253,7 +259,7 @@ void NvmDevice::Clwb(uint64_t off, size_t len) {
     observer_->OnClwb(this, off, len);
   }
   const uint64_t lines = (len + kCachelineSize - 1) / kCachelineSize;
-  clwb_count_.fetch_add(lines, std::memory_order_relaxed);
+  counters_.Add(kClwbs, lines);
   if (clwb_ns_ != 0) {
     common::SpinNs(lines * clwb_ns_);
   }
@@ -275,7 +281,7 @@ void NvmDevice::Sfence() {
   if (observer_ != nullptr) {
     observer_->OnSfence(this);
   }
-  sfence_count_.fetch_add(1, std::memory_order_relaxed);
+  counters_.Add(kSfences, 1);
   if (sfence_ns_ != 0) {
     common::SpinNs(sfence_ns_);
   }
@@ -285,7 +291,7 @@ void NvmDevice::Sfence() {
   common::MutexLock lk(&track_mu_);
   if (crash_capture_) {
     CrashEpoch ep;
-    ep.fence_seq = sfence_count_.load(std::memory_order_relaxed);
+    ep.fence_seq = sfence_count();
     for (const auto& [line, state] : dirty_lines_) {
       CrashEpoch::Line l;
       l.line = line;
@@ -365,12 +371,6 @@ void NvmDevice::MarkAllPersistent() {
 size_t NvmDevice::DirtyLineCountForTest() const {
   common::MutexLock lk(&track_mu_);
   return dirty_lines_.size();
-}
-
-void NvmDevice::ResetCounters() {
-  clwb_count_ = 0;
-  sfence_count_ = 0;
-  bytes_written_ = 0;
 }
 
 CrashImageBuilder::CrashImageBuilder(const std::vector<uint8_t>& snapshot,

@@ -27,6 +27,7 @@
 
 #include "src/common/mutex.h"
 #include "src/common/result.h"
+#include "src/common/striped_counter.h"
 
 namespace nvm {
 
@@ -204,13 +205,14 @@ class NvmDevice {
   void SetPersistObserver(PersistObserver* obs) { observer_ = obs; }
   PersistObserver* persist_observer() const { return observer_; }
 
-  // ---- Counters (diagnostics and benchmarks).
-  uint64_t clwb_count() const { return clwb_count_.load(std::memory_order_relaxed); }
-  uint64_t sfence_count() const { return sfence_count_.load(std::memory_order_relaxed); }
+  // ---- Counters (diagnostics and benchmarks). Striped per thread, so each
+  // read sums every stripe.
+  uint64_t clwb_count() const { return counters_.Sum(kClwbs); }
+  uint64_t sfence_count() const { return counters_.Sum(kSfences); }
   // Counts bulk data traffic (StoreBytes/NtStoreBytes); word-sized stores
-  // are not counted to keep the hot path free of atomic updates.
-  uint64_t bytes_written() const { return bytes_written_.load(std::memory_order_relaxed); }
-  void ResetCounters();
+  // are not counted to keep the hot path free of counter updates.
+  uint64_t bytes_written() const { return counters_.Sum(kBytesWritten); }
+  void ResetCounters() { counters_.Reset(); }
 
   const MediaProfile& media() const { return media_; }
   uint64_t clwb_ns() const { return clwb_ns_; }
@@ -252,9 +254,8 @@ class NvmDevice {
   bool crash_capture_ = false;
   std::vector<CrashEpoch> crash_journal_;
 
-  std::atomic<uint64_t> clwb_count_{0};
-  std::atomic<uint64_t> sfence_count_{0};
-  std::atomic<uint64_t> bytes_written_{0};
+  enum Counter : size_t { kClwbs, kSfences, kBytesWritten, kNumCounters };
+  common::StripedCounters<kNumCounters> counters_;
 
   // Bandwidth token buckets (monotonic "next free" times, ns).
   mutable std::atomic<uint64_t> read_free_ns_{0};

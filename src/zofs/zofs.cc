@@ -1877,7 +1877,7 @@ Result<uint64_t> ZoFs::Append(NodeRef node, const void* buf, size_t n) {
       n <= kStagedEpochPages * nvm::kPageSize && off + n >= off) {
     ASSIGN_OR_RETURN(staged, StageAppendData(node.coffer_id, info, ino, buf, n));
     if (staged) {
-      staged_append_hits_.fetch_add(1, std::memory_order_relaxed);
+      staged_append_hits_.Add(0, 1);
       return off;
     }
   }

@@ -29,6 +29,7 @@
 
 #include "src/common/mutex.h"
 #include "src/common/result.h"
+#include "src/common/striped_counter.h"
 #include "src/kernfs/kernfs.h"
 #include "src/ufs/microfs.h"
 #include "src/vfs/vfs.h"
@@ -244,9 +245,7 @@ class ZoFs final : public ufs::MicroFs {
   }
   // Appends absorbed by the staged fast path since construction (surfaces as
   // bench_json's staged_append_hits counter).
-  uint64_t StagedAppendHits() const {
-    return staged_append_hits_.load(std::memory_order_relaxed);
-  }
+  uint64_t StagedAppendHits() const { return staged_append_hits_.Sum(0); }
   // Force a read-only quarantine (exercises session invalidation).
   void QuarantineReadOnlyForTest(uint32_t cid) { QuarantineReadOnly(cid); }
 
@@ -633,7 +632,7 @@ class ZoFs final : public ufs::MicroFs {
   // table entirely while no epoch is open — the common case.
   std::array<StageShard, kStageShards> stage_shards_;
   std::atomic<uint64_t> active_stages_{0};
-  std::atomic<uint64_t> staged_append_hits_{0};
+  common::StripedCounters<1> staged_append_hits_;
 
   // Leaf lock: acquired under a shard's exclusive lock (RetireAllocatorLocked)
   // and never the other way around — zofs_lint's lock-order rule enforces

@@ -1,15 +1,19 @@
 // Unit tests for the common utilities: deterministic PRNG, Zipf sampling,
-// error codes, formatting and the Result plumbing.
+// error codes, formatting, the Result plumbing and striped counters.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/hash.h"
 #include "src/common/rand.h"
 #include "src/common/result.h"
 #include "src/common/stats.h"
+#include "src/common/striped_counter.h"
 
 namespace {
 
@@ -147,6 +151,57 @@ TEST(Clock, SpinZeroReturnsImmediately) {
   common::Stopwatch sw;
   common::SpinNs(0);
   EXPECT_LT(sw.ElapsedNs(), 100'000u);
+}
+
+TEST(StripedCounters, SumIsExactWithMoreThreadsThanStripes) {
+  // More threads than stripes, so some threads share a stripe. All of them
+  // are alive and adding at once (a start gate, then yields between bursts)
+  // so threads that share a stripe add concurrently: a non-atomic Add would
+  // lose counts here.
+  constexpr int kThreads = static_cast<int>(common::kCounterStripes) + 16;
+  constexpr int kBursts = 100;
+  constexpr int kAddsPerBurst = 100;
+  common::StripedCounters<2> c;
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&] {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) {
+        std::this_thread::yield();
+      }
+      for (int b = 0; b < kBursts; b++) {
+        for (int i = 0; i < kAddsPerBurst; i++) {
+          c.Add(0, 1);
+          c.Add(1, 3);
+        }
+        std::this_thread::yield();
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  const uint64_t adds = uint64_t{kThreads} * kBursts * kAddsPerBurst;
+  EXPECT_EQ(c.Sum(0), adds);
+  EXPECT_EQ(c.Sum(1), 3 * adds);
+  c.Reset();
+  EXPECT_EQ(c.Sum(0), 0u);
+  EXPECT_EQ(c.Sum(1), 0u);
+}
+
+TEST(StripedCounters, InstancesAndIndicesAreSeparate) {
+  common::StripedCounters<2> a;
+  common::StripedCounters<2> b;
+  a.Add(0, 5);
+  a.Add(1, 2);
+  b.Add(0, 7);
+  EXPECT_EQ(a.Sum(0), 5u);
+  EXPECT_EQ(a.Sum(1), 2u);
+  EXPECT_EQ(b.Sum(0), 7u);
+  EXPECT_EQ(b.Sum(1), 0u);
+  b.Reset();
+  EXPECT_EQ(a.Sum(0), 5u);
 }
 
 }  // namespace

@@ -179,6 +179,31 @@ TEST(KeyClassTableTest, ReleaseExactlyOnceUnderReaperRace) {
   EXPECT_NE(evicted, mpk::KeyClassTable::kNoSlot);
 }
 
+TEST(KeyClassTableTest, RepeatedTouchKeepsLruOrder) {
+  // Touch skips its write when the slot already holds the freshest stamp. On
+  // a fresh table the clock and every stamp are 0, so that skip must not
+  // fire before the first stamp: otherwise no class is ever stamped, all tie,
+  // and the victim scan takes slot 0 however recently it was used.
+  mpk::KeyClassTable t;
+  uint16_t evicted = 0;
+  bool fresh = false;
+  for (int i = 0; i < 15; i++) {
+    const uint16_t slot = t.SlotFor(mpk::ProtClass{100, 100, static_cast<uint16_t>(0600 + i)});
+    ASSERT_EQ(slot, i);
+    t.Retain(slot, 100 + i);
+    ASSERT_NE(t.EnsureKey(slot, &evicted, &fresh), mpk::kUnmapped);
+    ASSERT_EQ(evicted, mpk::KeyClassTable::kNoSlot);
+  }
+  for (int i = 0; i < 3; i++) {
+    t.Touch(0);
+  }
+  const uint16_t s15 = t.SlotFor(mpk::ProtClass{100, 100, 0777});
+  t.Retain(s15, 200);
+  ASSERT_NE(t.EnsureKey(s15, &evicted, &fresh), mpk::kUnmapped);
+  EXPECT_EQ(evicted, 1u);
+  EXPECT_NE(t.PublishedKey(0), mpk::kUnmapped);
+}
+
 TEST(KeyClassTableTest, SlotForFailsOnlyAtSlotSpaceLimit) {
   // Slots are 16-bit with kNoSlot reserved: 65,535 distinct classes get
   // slots, the next class does not, and known classes still resolve.

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "src/nvm/nvm.h"
 
@@ -135,6 +137,32 @@ TEST(NvmTest, CountersAdvance) {
   EXPECT_EQ(dev.clwb_count(), 1u);
   EXPECT_EQ(dev.sfence_count(), 1u);
   EXPECT_EQ(dev.bytes_written(), 8u);
+
+  // The counters are striped per thread: concurrent persists from several
+  // threads still sum to the exact totals, whichever thread reads them.
+  dev.ResetCounters();
+  constexpr int kThreads = 4;
+  constexpr int kIters = 2000;
+  constexpr size_t kBytes = 96;  // spans two cachelines
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; t++) {
+    threads.emplace_back([&dev, t] {
+      const uint64_t off = static_cast<uint64_t>(t) * nvm::kPageSize;
+      uint8_t buf[kBytes] = {};
+      for (int i = 0; i < kIters; i++) {
+        buf[0] = static_cast<uint8_t>(i);
+        dev.StoreBytes(off, buf, kBytes);
+        dev.Clwb(off, kBytes);
+        dev.Sfence();
+      }
+    });
+  }
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(dev.clwb_count(), uint64_t{kThreads} * kIters * 2);
+  EXPECT_EQ(dev.sfence_count(), uint64_t{kThreads} * kIters);
+  EXPECT_EQ(dev.bytes_written(), uint64_t{kThreads} * kIters * kBytes);
 }
 
 TEST(NvmTest, ContainsRejectsOverflowingRange) {

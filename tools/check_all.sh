@@ -5,8 +5,9 @@
 # zofs_lint over the source tree, clang-tidy (when installed), a
 # deterministic pmem_audit replay of the Figure-8 workload (DWOL), the
 # metadata fault-injection campaign (deterministic across thread counts, plus
-# a bounded sanitized run), and a TSan build running the threaded scalability
-# stress. Prints a per-gate summary table and exits nonzero on any finding.
+# a bounded sanitized run), a smoke run of every repository-benchmark
+# workload, and a TSan build running the threaded scalability stress. Prints a
+# per-gate summary table and exits nonzero on any finding.
 #
 #   tools/check_all.sh [build-dir]
 set -euo pipefail
@@ -208,6 +209,17 @@ if ! grep -q '"key_evictions":0,' "$A"; then :; else
   KP_OK=0
 fi
 if [ "$KP_OK" -eq 1 ]; then gate "key-pressure-soak" PASS; else gate "key-pressure-soak" FAIL; fi
+
+step "perfbench-smoke: every repository-benchmark workload at --size small"
+# Each workload of BENCHMARK.json, untraced and traced, with its model oracle
+# and crash pass (perfbench/smoke_test.py). A hot-path change that breaks a
+# workload's set-up fails here rather than in a benchmark run. The Release
+# perfbench build goes to $BUILD_DIR-bench/perfbench.
+if CARGO_TARGET_DIR="$BUILD_DIR-bench" python3 perfbench/smoke_test.py; then
+  gate "perfbench-smoke" PASS
+else
+  gate "perfbench-smoke" FAIL
+fi
 
 step "TSan build + threaded scalability stress ($TSAN_DIR)"
 # Only the ScalabilityTsan fixtures run here: they confine themselves to
