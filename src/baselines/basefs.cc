@@ -122,7 +122,7 @@ void BaseFs::PersistInodeAttrs(Node& node) {
 
 Result<BaseFs::NodePtr> BaseFs::ResolveNode(const std::string& path, bool follow_last,
                                             int depth) {
-  if (depth > 8) {
+  if (depth > vfs::kMaxSymlinkHops) {
     return Err::kLoop;
   }
   ASSIGN_OR_RETURN(parts, vfs::SplitPath(vfs::NormalizePath(path)));

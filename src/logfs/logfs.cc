@@ -251,7 +251,7 @@ Status LogFs::AppendRecord(uint8_t kind, const void* body, size_t body_len,
 // Path resolution over the volatile namespace
 
 Result<LogFs::VNode*> LogFs::ResolvePath(const std::string& path, bool follow_last, int depth) {
-  if (depth > 8) {
+  if (depth > vfs::kMaxSymlinkHops) {
     return Err::kLoop;
   }
   ASSIGN_OR_RETURN(parts, vfs::SplitPath(vfs::NormalizePath(path)));

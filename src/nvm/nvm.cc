@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdlib>
+#include <optional>
 
 #include "src/common/clock.h"
 
@@ -222,6 +223,10 @@ bool NvmDevice::AtomicCas64(uint64_t off, uint64_t expected, uint64_t desired) {
   assert(off % 8 == 0);
   CheckAccess(off, 8, true);
   TrackStore(off, 8);
+  std::optional<common::RecursiveMutexLock> lk;
+  if (observer_ != nullptr) {
+    lk.emplace(&observe_mu_);  // the swap and its report are one step
+  }
   bool ok = reinterpret_cast<std::atomic<uint64_t>*>(base_ + off)
                 ->compare_exchange_strong(expected, desired, std::memory_order_acq_rel);
   if (ok) {
@@ -234,6 +239,10 @@ uint64_t NvmDevice::AtomicFetchAdd64(uint64_t off, uint64_t delta) {
   assert(off % 8 == 0);
   CheckAccess(off, 8, true);
   TrackStore(off, 8);
+  std::optional<common::RecursiveMutexLock> lk;
+  if (observer_ != nullptr) {
+    lk.emplace(&observe_mu_);  // the add and its report are one step
+  }
   uint64_t old = reinterpret_cast<std::atomic<uint64_t>*>(base_ + off)
                      ->fetch_add(delta, std::memory_order_acq_rel);
   Observe(off, 8, false);
@@ -256,6 +265,7 @@ uint64_t NvmDevice::Load64(uint64_t off) const {
 
 void NvmDevice::Clwb(uint64_t off, size_t len) {
   if (observer_ != nullptr && len != 0) {
+    common::RecursiveMutexLock lk(&observe_mu_);
     observer_->OnClwb(this, off, len);
   }
   const uint64_t lines = (len + kCachelineSize - 1) / kCachelineSize;
@@ -279,6 +289,7 @@ void NvmDevice::Clwb(uint64_t off, size_t len) {
 
 void NvmDevice::Sfence() {
   if (observer_ != nullptr) {
+    common::RecursiveMutexLock lk(&observe_mu_);
     observer_->OnSfence(this);
   }
   counters_.Add(kSfences, 1);

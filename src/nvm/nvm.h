@@ -204,6 +204,18 @@ class NvmDevice {
   // ---- Audit observer (src/audit). At most one per device.
   void SetPersistObserver(PersistObserver* obs) { observer_ = obs; }
   PersistObserver* persist_observer() const { return observer_; }
+  // Runs `f` as one step for the observer: no other thread's store,
+  // write-back or fence is reported while it runs, so a check followed by an
+  // atomic write inside `f` is reported in the order it took effect. Without
+  // an observer it just runs `f`.
+  template <typename F>
+  auto ObservedStep(F&& f) -> decltype(f()) {
+    if (observer_ == nullptr) {
+      return f();
+    }
+    common::RecursiveMutexLock lk(&observe_mu_);
+    return f();
+  }
 
   // ---- Counters (diagnostics and benchmarks). Striped per thread, so each
   // read sums every stripe.
@@ -223,6 +235,7 @@ class NvmDevice {
   void TrackStore(uint64_t off, size_t len);
   void Observe(uint64_t off, size_t len, bool nontemporal) {
     if (observer_ != nullptr && len != 0) {
+      common::RecursiveMutexLock lk(&observe_mu_);
       observer_->OnStore(this, off, len, nontemporal);
     }
   }
@@ -244,6 +257,12 @@ class NvmDevice {
   AccessHook hook_ = nullptr;
   void* hook_ctx_ = nullptr;
   PersistObserver* observer_ = nullptr;
+  // Orders observer events as the memory operations they report. An atomic
+  // read-modify-write holds it across the operation and its report: reported
+  // late, a swap that landed before another thread's write-back would read
+  // as re-dirtying the line after it. Recursive: an observer may store
+  // (tests/store_trap.h). Taken only while an observer is attached.
+  mutable common::RecursiveMutex observe_mu_;
 
   mutable common::Mutex track_mu_;
   std::unordered_map<uint64_t, LineState> dirty_lines_ GUARDED_BY(track_mu_);

@@ -110,6 +110,9 @@ class FileSystem {
   virtual Result<std::string> ReadLink(const Cred& cred, const std::string& path) = 0;
 };
 
+// Symlinks one path walk follows before failing with ELOOP (every µFS).
+inline constexpr int kMaxSymlinkHops = 8;
+
 // Splits "/a/b/c" into {"a","b","c"}. Rejects empty and non-absolute paths by
 // returning an empty vector with ok=false.
 Result<std::vector<std::string>> SplitPath(const std::string& path);

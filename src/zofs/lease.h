@@ -3,8 +3,11 @@
 // and carries an expiry stamp; a survivor takes a claim over only once that
 // stamp is dead. Every claim, of a free word or of a dead holder's, CASes the
 // expiry to a fresh stamp *before* it CASes the word: nobody sees a live
-// claim next to a stale (or zero) expiry, and of several racing claimants
-// exactly one wins the expiry CAS.
+// claim next to a stale (or zero) expiry. A claimant CASes the word only
+// while its stamp is still there, so of several racing claimants only the
+// last to stamp can claim; one overtaken between its two CASes backs off
+// instead of claiming late — after the word was claimed, released and
+// perhaps its inode freed.
 
 #ifndef SRC_ZOFS_LEASE_H_
 #define SRC_ZOFS_LEASE_H_
@@ -69,22 +72,43 @@ enum class Claim {
 // knows its holder is dead (it needed a lock the caller just stole). The
 // expiry is read before the word is re-read and the clock after both, so a
 // claimant whose view went stale fails without touching either word.
+// `still_valid` runs after the stamp and the word are read and before
+// anything is written: a caller whose leased object may be freed (under its
+// lease) and its memory reused checks here that it is still the one it
+// named; a reuse after that rewrites the stamp and fails the expiry CAS.
+template <typename Valid>
 inline Claim TryClaimLease(nvm::NvmDevice* dev, uint64_t word_off, uint64_t expiry_off,
-                           uint64_t seen, uint64_t mine, uint64_t lease_ns,
-                           bool holder_dead = false) {
+                           uint64_t seen, uint64_t mine, uint64_t lease_ns, bool holder_dead,
+                           Valid&& still_valid) {
   const uint64_t expiry = dev->AtomicLoad64(expiry_off);
-  if (dev->AtomicLoad64(word_off) != seen) {
+  if (dev->AtomicLoad64(word_off) != seen || !still_valid()) {
     return Claim::kNone;
   }
   const uint64_t now = common::NowNs();
   if (seen != 0 && !holder_dead && !LeaseDead(expiry, now)) {
     return Claim::kNone;
   }
-  if (!dev->AtomicCas64(expiry_off, expiry, now + lease_ns) ||
-      !dev->AtomicCas64(word_off, seen, mine)) {
+  const uint64_t stamp = now + lease_ns;
+  if (!dev->AtomicCas64(expiry_off, expiry, stamp)) {
+    return Claim::kNone;
+  }
+  // The last checks and the word CAS are one step, so an auditor sees the
+  // claim where it took effect (nvm::NvmDevice::ObservedStep).
+  const bool won = dev->ObservedStep([&] {
+    return dev->AtomicLoad64(expiry_off) == stamp && still_valid() &&
+           dev->AtomicCas64(word_off, seen, mine);
+  });
+  if (!won) {
     return Claim::kNone;
   }
   return seen == 0 ? Claim::kClaimed : Claim::kStole;
+}
+
+inline Claim TryClaimLease(nvm::NvmDevice* dev, uint64_t word_off, uint64_t expiry_off,
+                           uint64_t seen, uint64_t mine, uint64_t lease_ns,
+                           bool holder_dead = false) {
+  return TryClaimLease(dev, word_off, expiry_off, seen, mine, lease_ns, holder_dead,
+                       [] { return true; });
 }
 
 }  // namespace zofs

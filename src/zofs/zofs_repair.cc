@@ -47,10 +47,6 @@ using kernfs::MapInfo;
 
 namespace {
 
-bool PlausiblePage(const nvm::NvmDevice* dev, uint64_t off) {
-  return off != 0 && off % nvm::kPageSize == 0 && off + nvm::kPageSize <= dev->size();
-}
-
 std::string JoinPath(const std::string& dir, std::string_view leaf) {
   return (dir == "/" ? "/" : dir + "/") + std::string(leaf);
 }
@@ -277,7 +273,7 @@ Result<std::string> ZoFs::FindDirPath(uint32_t cid, const MapInfo& info,
 }
 
 void ZoFs::MaybeOnlineRepair(uint32_t cid, const MapInfo& info, const InodeLock& lk,
-                             std::initializer_list<uint64_t> held_inodes) {
+                             std::span<const uint64_t> held_inodes) {
   if (!lk.stole()) {
     return;
   }
@@ -296,7 +292,7 @@ void ZoFs::MaybeOnlineRepair(uint32_t cid, const MapInfo& info, const InodeLock&
 }
 
 Status ZoFs::RepairDeadIntent(uint32_t cid, const MapInfo& info, uint64_t slot_off,
-                              std::initializer_list<uint64_t> held_inodes, uint64_t stolen_ino) {
+                              std::span<const uint64_t> held_inodes, uint64_t stolen_ino) {
   nvm::NvmDevice* dev = kfs_->dev();
   const uint64_t m = dev->AtomicLoad64(slot_off);
   if (m == 0) {

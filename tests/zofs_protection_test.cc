@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "src/common/rand.h"
 #include "src/fslib/fslib.h"
@@ -18,7 +20,11 @@ using common::Err;
 
 class ProtectionTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Boot(); }
+  // A freshly formatted device and kernel.
+  void Boot() {
+    kfs_.reset();
+    mpk::BindThreadToProcess(nullptr);
     nvm::Options o;
     o.size_bytes = 128ull << 20;
     dev_ = std::make_unique<nvm::NvmDevice>(o);
@@ -63,25 +69,93 @@ TEST_F(ProtectionTest, StrayWritesNeverLand) {
 
 TEST_F(ProtectionTest, CorruptionYieldsGracefulErrorNotCrash) {
   // §3.4.2: corrupted metadata leads to an error return, not termination.
-  fslib::FsLib p(kfs_.get(), vfs::Cred{1000, 1000});
-  vfs::Cred c{1000, 1000};
-  auto fd = p.Open(c, "/victim", vfs::kCreate | vfs::kRdWr, 0666);
-  ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(p.Write(*fd, "data", 4).ok());
+  // One row per inode entry point: smash the magic of the inode the op reads
+  // (the file, or the directory the op works in); the op fails with
+  // EUCLEAN — never EFAULT, the simulated SIGSEGV — and the process then
+  // still creates and reads another file.
+  const vfs::Cred c{1000, 1000};
+  char buf[16] = {};
+  using Op = std::function<Err(fslib::FsLib&, vfs::Fd fd, vfs::Fd append_fd)>;
+  auto err = [](const auto& r) { return r.ok() ? Err::kOk : r.error(); };
+  struct Row {
+    const char* name;
+    const char* smash;  // the path whose inode magic is destroyed
+    Op op;
+    bool append_first = false;  // open a staged-append epoch before the smash
+  };
+  const std::vector<Row> rows = {
+      {"read", "/f",
+       [&](fslib::FsLib& p, vfs::Fd fd, vfs::Fd) { return err(p.Read(fd, buf, 8)); }},
+      {"pread", "/f",
+       [&](fslib::FsLib& p, vfs::Fd fd, vfs::Fd) { return err(p.Pread(fd, buf, 8, 0)); }},
+      {"write", "/f",
+       [&](fslib::FsLib& p, vfs::Fd fd, vfs::Fd) { return err(p.Write(fd, "x", 1)); }},
+      {"pwrite", "/f",
+       [&](fslib::FsLib& p, vfs::Fd fd, vfs::Fd) { return err(p.Pwrite(fd, "x", 1, 0)); }},
+      {"append", "/f",
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd afd) { return err(p.Write(afd, "x", 1)); }},
+      {"fstat", "/f", [&](fslib::FsLib& p, vfs::Fd fd, vfs::Fd) { return err(p.Fstat(fd)); }},
+      {"ftruncate", "/f",
+       [&](fslib::FsLib& p, vfs::Fd fd, vfs::Fd) { return err(p.Ftruncate(fd, 1)); }},
+      {"fsync after append", "/f",
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd afd) { return err(p.Fsync(afd)); }, true},
+      {"stat", "/f", [&](fslib::FsLib& p, vfs::Fd, vfs::Fd) { return err(p.Stat(c, "/f")); }},
+      {"readdir", "/d",
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd) { return err(p.ReadDir(c, "/d")); }},
+      {"readlink", "/l",
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd) { return err(p.ReadLink(c, "/l")); }},
+      {"create", "/d",
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd) {
+         return err(p.Open(c, "/d/new", vfs::kCreate | vfs::kWrite, 0666));
+       }},
+      {"mkdir", "/d",
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd) { return err(p.Mkdir(c, "/d/nd", 0777)); }},
+      {"symlink", "/d",
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd) { return err(p.Symlink(c, "/f", "/d/nl")); }},
+      {"unlink", "/d",
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd) { return err(p.Unlink(c, "/d/g")); }},
+      {"rmdir", "/d",
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd) { return err(p.Rmdir(c, "/d/sub")); }},
+      {"rename", "/d",
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd) { return err(p.Rename(c, "/d/g", "/d/h")); }},
+      {"chmod", "/d",
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd) { return err(p.Chmod(c, "/d/g", 0600)); }},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    Boot();
+    fslib::FsLib p(kfs_.get(), c);
+    auto fd = p.Open(c, "/f", vfs::kCreate | vfs::kRdWr, 0666);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(p.Write(*fd, "data", 4).ok());
+    auto afd = p.Open(c, "/f", vfs::kWrite | vfs::kAppend, 0);
+    ASSERT_TRUE(afd.ok());
+    ASSERT_TRUE(p.Mkdir(c, "/d", 0777).ok());
+    ASSERT_TRUE(p.Mkdir(c, "/d/sub", 0777).ok());
+    ASSERT_TRUE(p.Open(c, "/d/g", vfs::kCreate | vfs::kWrite, 0666).ok());
+    ASSERT_TRUE(p.Symlink(c, "/f", "/l").ok());
+    if (row.append_first) {
+      ASSERT_TRUE(p.Write(*afd, "more", 4).ok());
+    }
 
-  auto node = p.zofs().Lookup("/victim", true);
-  ASSERT_TRUE(node.ok());
-  auto info = p.zofs().EnsureMappedForTest(node->coffer_id, true);
-  {
-    mpk::AccessWindow w(info->key, true);
-    dev_->Store64(node->inode_off, 0);  // destroy the inode magic
+    auto node = p.zofs().Lookup(row.smash, /*follow_last_symlink=*/false);
+    ASSERT_TRUE(node.ok());
+    auto info = p.zofs().EnsureMappedForTest(node->coffer_id, true);
+    ASSERT_TRUE(info.ok());
+    {
+      mpk::AccessWindow w(info->key, true);
+      dev_->Store64(node->inode_off, 0);  // destroy the inode magic
+    }
+    EXPECT_EQ(row.op(p, *fd, *afd), Err::kCorrupt);
+
+    // The process can continue using other files.
+    auto other = p.Open(c, "/other", vfs::kCreate | vfs::kRdWr, 0666);
+    ASSERT_TRUE(other.ok()) << common::ErrName(other.error());
+    ASSERT_TRUE(p.Write(*other, "live", 4).ok());
+    auto n = p.Pread(*other, buf, 4, 0);
+    ASSERT_TRUE(n.ok());
+    EXPECT_EQ(std::string(buf, *n), "live");
   }
-  char buf[8];
-  auto r = p.Pread(*fd, buf, sizeof(buf), 0);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.error(), Err::kCorrupt);
-  // The process can continue using other files.
-  EXPECT_TRUE(p.Open(c, "/other", vfs::kCreate | vfs::kWrite, 0666).ok());
 }
 
 TEST_F(ProtectionTest, ManipulatedCrossCofferReferenceRejected) {

@@ -7,7 +7,9 @@
 # PARENT_BUILD and CHANGE_BUILD are CMake build directories (for example one
 # of a clone of the parent commit and one of the change). The oracles:
 #   * crash_explore --ops=100 --max-points=200 --json, all seven workloads;
-#   * fault_inject --seed=42 --threads=4 --json;
+#   * fault_inject --seed=42 --threads=4 --json; on a DIFF, the trials whose
+#     outcome or detail moved are listed one per line, joined by trial id,
+#     with whether any moved to silent-data, hang, crash or escape;
 #   * zofs_soak --seed=42 --json, with and without --key-pressure;
 #   * pmem_audit --fs=zofs --ops=2000 --json on DWOL and MWCL, with the
 #     `file.cc:<line>` part of finding sites normalized (moved code changes
@@ -45,11 +47,54 @@ compare() {
   else
     printf '  %-32s DIFF\n' "$1"
     diff "$OUT/parent.$2" "$OUT/change.$2" | head -20 | sed 's/^/      /'
+    if [ "$2" = fault ]; then
+      fault_trials
+    fi
     FAIL=1
   fi
 }
 
 normalize_sites() { sed -E 's/([A-Za-z0-9_]+\.cc):[0-9]+/\1:N/g' "$1" > "$1.norm"; }
+
+# fault_trials: the fault_inject trials whose outcome or detail differ between
+# the two reports (each is the tool's JSON followed by an `exit=` line).
+fault_trials() {
+  python3 - "$OUT/parent.fault" "$OUT/change.fault" <<'PY'
+import json
+import sys
+
+
+def trials(path):
+    text = open(path).read()
+    try:
+        return {t["id"]: t for t in json.loads(text[: text.rfind("exit=")])["results"]}
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+parent, change = trials(sys.argv[1]), trials(sys.argv[2])
+if parent is None or change is None:
+    print("      per-trial diff unavailable: a report is not fault_inject JSON")
+    sys.exit(0)
+failing = {"silent-data", "hang", "crash", "escape"}
+moved_to_failing = []
+for tid in sorted(parent.keys() | change.keys()):
+    p, c = parent.get(tid, {}), change.get(tid, {})
+    was = f"{p.get('outcome', '-')} ({p.get('detail', '')})"
+    now = f"{c.get('outcome', '-')} ({c.get('detail', '')})"
+    if was == now:
+        continue
+    t = c or p
+    print(f"      trial {tid} [{t.get('class')}] {t.get('target')}: {was} -> {now}")
+    if c.get("outcome") in failing and c.get("outcome") != p.get("outcome"):
+        moved_to_failing.append(tid)
+if moved_to_failing:
+    print("      trials moved to silent-data/hang/crash/escape: "
+          + " ".join(str(t) for t in moved_to_failing))
+else:
+    print("      no trial moved to silent-data, hang, crash or escape")
+PY
+}
 
 for side in parent change; do
   build=$PARENT
