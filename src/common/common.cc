@@ -21,6 +21,8 @@ const char* ErrName(Err e) {
       return "EIO";
     case Err::kBadF:
       return "EBADF";
+    case Err::kAgain:
+      return "EAGAIN";
     case Err::kAcces:
       return "EACCES";
     case Err::kFault:

@@ -22,6 +22,7 @@ enum class Err : int32_t {
   kNoEnt = 2,          // ENOENT
   kIo = 5,             // EIO
   kBadF = 9,           // EBADF
+  kAgain = 11,         // EAGAIN
   kAcces = 13,         // EACCES
   kFault = 14,         // EFAULT (MPK violation / invalid NVM reference)
   kBusy = 16,          // EBUSY

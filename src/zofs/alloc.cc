@@ -63,9 +63,10 @@ bool CofferAllocator::ValidFreePage(uint64_t off) const {
          mpk::ProbeAccess(off, 8, false);
 }
 
-void CofferAllocator::InitPool(nvm::NvmDevice* dev, uint64_t pool_off) {
+void CofferAllocator::InitPool(nvm::NvmDevice* dev, uint64_t pool_off, uint64_t generation) {
   AllocPool zero{};
   zero.magic = kPoolMagic;
+  zero.generation = generation;
   dev->StoreBytes(pool_off, &zero, sizeof(zero));
   dev->PersistRange(pool_off, sizeof(zero));
 }

@@ -65,8 +65,9 @@ class CofferAllocator {
                   uint64_t pool_off, uint64_t lease_ns, uint64_t enlarge_batch,
                   bool validate = true, kernfs::ChannelSet* channels = nullptr);
 
-  // Formats a fresh pool page (called once when a coffer is created).
-  static void InitPool(nvm::NvmDevice* dev, uint64_t pool_off);
+  // Formats a fresh pool page (when a coffer is created, and by recovery)
+  // whose inode-generation counter starts at `generation`.
+  static void InitPool(nvm::NvmDevice* dev, uint64_t pool_off, uint64_t generation = 0);
 
   // Allocates one 4 KB page from the coffer; `zero` wipes it. The caller
   // must hold an MPK window for the coffer.
