@@ -38,7 +38,9 @@ int main() {
     fs.Close(*fd);
     printf("wrote /durable.txt (synchronous FS: persistent at return)\n");
 
-    // ... then a crash strikes.
+    // ... then a crash strikes. A dead process unmounts nothing: abandon it
+    // first, so its destructor leaves the crashed image alone.
+    fs.Abandon();
     size_t rolled_back = dev->SimulateCrash();
     printf("CRASH! rolled back %zu unpersisted cachelines\n", rolled_back);
   }

@@ -37,11 +37,6 @@ inline uint64_t NowNs() {
   return o != 0 ? o : RealNowNs();
 }
 
-// Pins NowNs() to `ns` (0 restores the hardware clock).
-inline void SetNowNsForTest(uint64_t ns) {
-  detail::g_now_override_ns.store(ns, std::memory_order_relaxed);
-}
-
 // RAII pin of the logical clock: freezes NowNs() at `ns` so that every
 // time-dependent persistent word — free-list leases, inode-lock leases,
 // timestamps — plays out identically across reruns regardless of host load.

@@ -3,24 +3,20 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <memory>
 #include <set>
 #include <sstream>
-#include <thread>
 
 #include "src/common/clock.h"
 #include "src/common/json.h"
 #include "src/common/rand.h"
 #include "src/fslib/fslib.h"
-#include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 #include "src/vfs/vfs.h"
 
 namespace crashmon {
 namespace {
-
-using common::Err;
 
 const vfs::Cred kCred{0, 0};
 
@@ -378,27 +374,20 @@ void Exec(fslib::FsLib* fs, nvm::NvmDevice* dev, OpRecord* op, FdCache* cache) {
 
 Recording Record(const ExploreOptions& opts) {
   Recording rec;
-  nvm::Options no;
-  no.size_bytes = opts.dev_bytes;
-  no.crash_tracking = true;
-  nvm::NvmDevice dev(no);
-  mpk::InstallDeviceHook(&dev);
-
-  kernfs::FormatOptions fo;
-  fo.root_mode = 0755;
-  auto kfs = std::make_unique<kernfs::KernFs>(&dev, fo);
-  kfs->set_kernel_crossing_ns(0);
+  testbed::Stack stack({.size_bytes = opts.dev_bytes, .crash_tracking = true, .media = {}},
+                       {.root_mode = 0755});
+  nvm::NvmDevice& dev = *stack.dev();
   zofs::Options zo;
   zo.legacy_rename_overwrite = opts.legacy_rename_overwrite;
   // Short lease so locks held in a crash image have expired by the time the
   // exploration workers recover it (leases store wall-clock deadlines).
   zo.lease_ns = 2'000'000;
-  auto fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred, zo);
+  fslib::FsLib* fs = stack.AddProcess(kCred, zo);
 
   Plan plan = BuildPlan(opts.workload, opts.ops, opts.seed);
   FdCache cache;
   for (OpRecord& op : plan.setup) {
-    Exec(fs.get(), &dev, &op, &cache);
+    Exec(fs, &dev, &op, &cache);
     if (op.ok) {
       Apply(&rec.base_model, op);
     }
@@ -430,7 +419,7 @@ Recording Record(const ExploreOptions& opts) {
     if (plan.clock_step_ns != 0) {
       common::AdvanceNowNsForTest(plan.clock_step_ns);
     }
-    Exec(fs.get(), &dev, &op, &cache);
+    Exec(fs, &dev, &op, &cache);
     if (!op.ok) {
       rec.ops_failed++;
     }
@@ -457,10 +446,6 @@ Recording Record(const ExploreOptions& opts) {
 
   rec.journal = dev.crash_journal();
   rec.ops = std::move(plan.run);
-
-  fs.reset();
-  kfs.reset();
-  mpk::BindThreadToProcess(nullptr);
   return rec;
 }
 
@@ -510,31 +495,6 @@ bool Walk(vfs::FileSystem* fs, const std::string& dir, std::set<std::string>* fi
   return true;
 }
 
-// Reads a whole file. Returns 1 if present (content in *out), 0 if absent,
-// -1 on any other error.
-int ReadAll(vfs::FileSystem* fs, const std::string& p, std::string* out) {
-  auto fd = fs->Open(kCred, p, vfs::kRead, 0);
-  if (!fd.ok()) {
-    return fd.error() == Err::kNoEnt ? 0 : -1;
-  }
-  auto st = fs->Fstat(*fd);
-  if (!st.ok()) {
-    fs->Close(*fd);
-    return -1;
-  }
-  out->assign(st->size, '\0');
-  size_t got = 0;
-  while (got < out->size()) {
-    auto r = fs->Pread(*fd, out->data() + got, out->size() - got, got);
-    if (!r.ok() || *r == 0) {
-      break;
-    }
-    got += *r;
-  }
-  fs->Close(*fd);
-  return got == out->size() ? 1 : -1;
-}
-
 std::string DescribeDiff(const std::string& want, const std::string& got) {
   std::ostringstream os;
   os << " (model " << want.size() << "B, found " << got.size() << "B";
@@ -557,7 +517,7 @@ std::string DescribeDiff(const std::string& want, const std::string& got) {
 void CheckTornWrite(vfs::FileSystem* fs, const std::string& p, const std::string& old,
                     const OpRecord& op, const StateCtx& sc, std::vector<Violation>* out) {
   std::string got;
-  int r = ReadAll(fs, p, &got);
+  int r = testbed::ReadFile(fs, kCred, p, &got);
   if (r < 0) {
     AddViolation(out, sc, "walk-failed", "read failed during in-flight write check: " + p);
     return;
@@ -632,8 +592,8 @@ void CheckState(vfs::FileSystem* fs, const ModelState& m, const OpRecord* infl,
       auto dst = m.files.find(infl->path2);
       std::string f_cont;
       std::string t_cont;
-      int rf = ReadAll(fs, infl->path, &f_cont);
-      int rt = ReadAll(fs, infl->path2, &t_cont);
+      int rf = testbed::ReadFile(fs, kCred, infl->path, &f_cont);
+      int rt = testbed::ReadFile(fs, kCred, infl->path2, &t_cont);
       if (rf < 0 || rt < 0) {
         AddViolation(out, sc, "walk-failed",
                      "read failed during rename check: " + infl->path + " -> " + infl->path2);
@@ -662,7 +622,7 @@ void CheckState(vfs::FileSystem* fs, const ModelState& m, const OpRecord* infl,
       continue;
     }
     std::string got;
-    int r = ReadAll(fs, p, &got);
+    int r = testbed::ReadFile(fs, kCred, p, &got);
     if (r < 0) {
       AddViolation(out, sc, "walk-failed", "read failed: " + p);
       continue;
@@ -689,7 +649,7 @@ void CheckState(vfs::FileSystem* fs, const ModelState& m, const OpRecord* infl,
   // pointer lines underneath it persisted).
   for (const auto& [p, as] : m.appends) {
     std::string got;
-    int r = ReadAll(fs, p, &got);
+    int r = testbed::ReadFile(fs, kCred, p, &got);
     if (r < 0) {
       AddViolation(out, sc, "walk-failed", "read failed: " + p);
       continue;
@@ -719,7 +679,7 @@ void CheckState(vfs::FileSystem* fs, const ModelState& m, const OpRecord* infl,
     }
     if (active && infl->kind == K::kCreate && infl->path == p) {
       std::string got;
-      if (ReadAll(fs, p, &got) == 1 && !got.empty()) {
+      if (testbed::ReadFile(fs, kCred, p, &got) == 1 && !got.empty()) {
         AddViolation(out, sc, "atomicity",
                      "in-flight create visible with nonzero size: " + p);
       }
@@ -762,37 +722,31 @@ std::string DescribeFault(const mpk::ViolationError& e) {
 
 void RecoverAndCheck(nvm::NvmDevice* dev, const ModelState& m, const OpRecord* infl,
                      const StateCtx& sc, std::vector<Violation>* out) {
-  auto kfs = std::make_unique<kernfs::KernFs>(dev);
-  kfs->set_kernel_crossing_ns(0);
-  auto fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred);
-  fs->BindThread();
+  testbed::Stack stack(dev);
+  fslib::FsLib* fs = stack.AddProcess(kCred);
   // Recovery must never fault, whatever the crash image looks like — an
   // escaped simulated page fault on a torn image is itself a finding.
   try {
-    auto stats = fs->ufs().RecoverAll();
-    if (!stats.ok()) {
-      AddViolation(out, sc, "recovery-failed", common::ErrName(stats.error()));
+    testbed::FsckResult fsck = stack.Fsck(fs);
+    if (!fsck.recovery.empty()) {
+      AddViolation(out, sc, "recovery-failed", fsck.recovery);
     } else {
-      std::string alloc = kfs->CheckAllocTableForTest();
-      if (!alloc.empty()) {
-        AddViolation(out, sc, "fsck-alloc", alloc.substr(0, alloc.find('\n')));
+      if (!fsck.alloc.empty()) {
+        AddViolation(out, sc, "fsck-alloc", fsck.alloc.substr(0, fsck.alloc.find('\n')));
       }
-      CheckState(fs.get(), m, infl, sc, out);
+      CheckState(fs, m, infl, sc, out);
     }
   } catch (const mpk::ViolationError& e) {
     AddViolation(out, sc, "recovery-failed", DescribeFault(e));
   }
-  fs.reset();
-  kfs.reset();
-  mpk::BindThreadToProcess(nullptr);
 }
 
+// Checks items[0, n), each item's violations into out[i].
 void Worker(const Recording& rec, const ExploreOptions& opts, const WorkItem* items, size_t n,
             std::vector<Violation>* out) {
   nvm::Options no;
   no.size_bytes = opts.dev_bytes;
   nvm::NvmDevice dev(no);
-  mpk::InstallDeviceHook(&dev);
   nvm::CrashImageBuilder builder(rec.snapshot, &rec.journal);
 
   // Items arrive in non-decreasing base_epoch order, so the model advances
@@ -841,9 +795,8 @@ void Worker(const Recording& rec, const ExploreOptions& opts, const WorkItem* it
 
     dev.RestoreFrom(img->data(), img->size());
     StateCtx sc{it.state_id, it.base_epoch, f, it.variant};
-    RecoverAndCheck(&dev, model, infl, sc, out);
+    RecoverAndCheck(&dev, model, infl, sc, &out[i]);
   }
-  mpk::BindThreadToProcess(nullptr);
 }
 
 }  // namespace
@@ -922,26 +875,12 @@ ExploreReport Explore(const ExploreOptions& opts) {
     }
   }
 
-  int threads = std::max(1, opts.threads);
-  threads = static_cast<int>(std::min<size_t>(threads, items.empty() ? 1 : items.size()));
-  const size_t chunk = (items.size() + threads - 1) / threads;
-  std::vector<std::vector<Violation>> per(threads);
-  std::vector<std::thread> pool;
-  for (int w = 0; w < threads; w++) {
-    const size_t lo = w * chunk;
-    const size_t hi = std::min(items.size(), lo + chunk);
-    if (lo >= hi) {
-      break;
-    }
-    pool.emplace_back(Worker, std::cref(rec), std::cref(opts), items.data() + lo, hi - lo,
-                      &per[w]);
-  }
-  for (std::thread& t : pool) {
-    t.join();
-  }
-
-  // Chunks are contiguous in enumeration order, so concatenation restores the
-  // global deterministic order regardless of the thread count.
+  // Each state's violations land in its own slot, so the report does not
+  // depend on the thread count.
+  std::vector<std::vector<Violation>> per(items.size());
+  testbed::FanOut(items.size(), opts.threads, [&](size_t lo, size_t hi) {
+    Worker(rec, opts, items.data() + lo, hi - lo, per.data() + lo);
+  });
   for (const std::vector<Violation>& v : per) {
     rep.violation_count += v.size();
     for (const Violation& x : v) {

@@ -13,7 +13,7 @@
 //     is a legal crash state (lines evict independently between fences).
 //
 // Each crash image is materialized incrementally (nvm::CrashImageBuilder),
-// loaded into a recycled per-worker device, remounted (KernFs + FsLib),
+// loaded into a recycled per-worker device, remounted (testbed::Stack),
 // recovered (MicroFs::RecoverAll), and checked against two oracles:
 //
 //   fsck oracle        recovery succeeds, the kernel allocation table is

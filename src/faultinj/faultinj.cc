@@ -6,10 +6,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <memory>
 #include <set>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -20,6 +18,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 #include "src/zofs/layout.h"
 #include "src/zofs/zofs.h"
 
@@ -139,27 +138,15 @@ SetupInfo Setup(const CampaignOptions& opts) {
   SetupInfo s;
   s.dev_bytes = opts.dev_bytes;
 
-  nvm::Options no;
-  no.size_bytes = opts.dev_bytes;
-  nvm::NvmDevice dev(no);
-  mpk::InstallDeviceHook(&dev);
-
-  kernfs::FormatOptions fo;
-  fo.root_mode = 0755;
-  auto kfs = std::make_unique<kernfs::KernFs>(&dev, fo);
-  kfs->set_kernel_crossing_ns(0);
+  testbed::Stack stack({.size_bytes = opts.dev_bytes, .media = {}}, {.root_mode = 0755});
+  const nvm::NvmDevice& dev = *stack.dev();
+  kernfs::KernFs* kfs = stack.kfs();
   zofs::Options zo;
   zo.lease_ns = 1'000'000;
-  auto fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred, zo);
+  fslib::FsLib* fs = stack.AddProcess(kCred, zo);
 
-  auto teardown = [&]() {
-    fs.reset();
-    kfs.reset();
-    mpk::BindThreadToProcess(nullptr);
-  };
   auto fail = [&](const std::string& m) {
     s.err = m;
-    teardown();
     return s;
   };
 
@@ -258,7 +245,7 @@ SetupInfo Setup(const CampaignOptions& opts) {
   s.alloc_table_off = sb->alloc_table_off;
   s.num_pages = sb->num_pages;
 
-  teardown();
+  stack.Shutdown();
   dev.SnapshotTo(&s.image);
   return s;
 }
@@ -642,23 +629,23 @@ void Battery(fslib::FsLib* fs, const SetupInfo& s, const Trial& t, Verdict* v) {
 // coffer means damage crossed the MPK wall. (Root-coffer pages are modified
 // legitimately by the battery, so the oracle watches only the untouched
 // sibling coffers; /vault exists solely for this.)
-void CheckSiblings(nvm::NvmDevice* dev, const std::vector<uint8_t>& img, const SetupInfo& s,
-                   const Trial& t, const char* when, Verdict* v) {
-  for (uint64_t pg = 0; pg < s.num_pages; pg++) {
-    uint32_t owner;
-    memcpy(&owner, img.data() + s.alloc_table_off + pg * sizeof(kernfs::AllocEntry), 4);
-    if (owner == 0 || owner == kernfs::kKernelOwner || owner == s.root_cid ||
-        owner == t.victim) {
-      continue;
-    }
-    if (memcmp(dev->base() + pg * nvm::kPageSize, img.data() + pg * nvm::kPageSize,
-               nvm::kPageSize) != 0) {
-      char d[128];
-      snprintf(d, sizeof(d), "sibling coffer %u page %llu modified %s", owner,
-               static_cast<unsigned long long>(pg), when);
-      v->Note(Outcome::kEscape, d);
-      return;
-    }
+void CheckSiblings(const nvm::NvmDevice* dev, const std::vector<uint8_t>& img,
+                   const SetupInfo& s, const Trial& t, const char* when, Verdict* v) {
+  auto owner = [&](uint64_t pg) {
+    uint32_t o;
+    memcpy(&o, img.data() + s.alloc_table_off + pg * sizeof(kernfs::AllocEntry), 4);
+    return o;
+  };
+  std::vector<uint64_t> escaped =
+      testbed::EscapedPages(img.data(), dev->base(), s.num_pages, [&](uint64_t pg) {
+        const uint32_t o = owner(pg);
+        return o == 0 || o == kernfs::kKernelOwner || o == s.root_cid || o == t.victim;
+      });
+  if (!escaped.empty()) {
+    char d[128];
+    snprintf(d, sizeof(d), "sibling coffer %u page %llu modified %s", owner(escaped[0]),
+             static_cast<unsigned long long>(escaped[0]), when);
+    v->Note(Outcome::kEscape, d);
   }
 }
 
@@ -684,9 +671,8 @@ void RunTrial(nvm::NvmDevice* dev, const SetupInfo& s, const CampaignOptions& op
   // Phase 1: remount and drive the op battery. Whatever the image looks
   // like, nothing may leak a simulated page fault past FSLib.
   try {
-    auto kfs = std::make_unique<kernfs::KernFs>(dev);
-    kfs->set_kernel_crossing_ns(0);
-    auto fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred, zo);
+    testbed::Stack stack(dev);
+    fslib::FsLib* fs = stack.AddProcess(kCred, zo);
     if (t.cls == FaultClass::kChanEntryScribble) {
       // The submission ring is volatile DRAM, so this fault cannot be planted
       // in the image: queue an async refill, scribble it in place, and force
@@ -696,7 +682,7 @@ void RunTrial(nvm::NvmDevice* dev, const SetupInfo& s, const CampaignOptions& op
       if (ch == nullptr) {
         v.Note(Outcome::kSilentData, "channel: no channel to corrupt (channels disabled)");
       } else {
-        ch->SubmitEnlarge(kfs->root_coffer_id(), 8);
+        ch->SubmitEnlarge(stack.kfs()->root_coffer_id(), 8);
         ch->CorruptQueuedForTest(0);
         ch->Flush();
         bool refused = false;
@@ -713,21 +699,18 @@ void RunTrial(nvm::NvmDevice* dev, const SetupInfo& s, const CampaignOptions& op
         }
       }
     }
-    Battery(fs.get(), s, t, &v);
-    fs.reset();
-    kfs.reset();
+    Battery(fs, s, t, &v);
+    stack.Shutdown();
   } catch (const mpk::ViolationError&) {
     v.Note(Outcome::kCrash, "mount/ops: escaped simulated page fault");
   }
-  mpk::BindThreadToProcess(nullptr);
   CheckSiblings(dev, img, s, t, "after ops", &v);
 
   // Phase 2: KernFS-mediated repair of the victim coffer, then a liveness
   // probe. Recovery runs on arbitrary garbage, so it must be fault-free too.
   try {
-    auto kfs = std::make_unique<kernfs::KernFs>(dev);
-    kfs->set_kernel_crossing_ns(0);
-    auto fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred, zo);
+    testbed::Stack stack(dev);
+    fslib::FsLib* fs = stack.AddProcess(kCred, zo);
     auto r = fs->zofs().RecoverCoffer(t.victim);
     if (!r.ok()) {
       if (r.error() == Err::kFault) {
@@ -740,12 +723,10 @@ void RunTrial(nvm::NvmDevice* dev, const SetupInfo& s, const CampaignOptions& op
     if (!st.ok() && st.error() == Err::kFault) {
       v.Note(Outcome::kCrash, "post-recovery stat: simulated page fault");
     }
-    fs.reset();
-    kfs.reset();
+    stack.Shutdown();
   } catch (const mpk::ViolationError&) {
     v.Note(Outcome::kCrash, "recover: escaped simulated page fault");
   }
-  mpk::BindThreadToProcess(nullptr);
   CheckSiblings(dev, img, s, t, "after recovery", &v);
 
   out->outcome = FromSeverity(v.worst);
@@ -757,7 +738,6 @@ void Worker(const SetupInfo* s, const CampaignOptions* opts, const Trial* trials
   nvm::Options no;
   no.size_bytes = opts->dev_bytes;
   nvm::NvmDevice dev(no);
-  mpk::InstallDeviceHook(&dev);
   for (size_t i = 0; i < n; i++) {
     RunTrial(&dev, *s, *opts, trials[i], &results[i]);
   }
@@ -837,33 +817,18 @@ CampaignReport RunCampaign(const CampaignOptions& opts) {
   rep.by_class.resize(std::size(kAllFaultClasses));
 
   // Pin logical time for the whole campaign (see kEpochNs).
-  common::SetNowNsForTest(kEpochNs);
+  common::ScopedClockPin pin(kEpochNs);
 
   SetupInfo s = Setup(opts);
   if (!s.err.empty()) {
     rep.setup_error = s.err;
-    common::SetNowNsForTest(0);
     return rep;
   }
   std::vector<Trial> trials = BuildTrials(s, opts);
   rep.results.resize(trials.size());
-
-  const size_t nthreads =
-      std::max<size_t>(1, std::min<size_t>(opts.threads <= 0 ? 1 : opts.threads, trials.size()));
-  const size_t chunk = (trials.size() + nthreads - 1) / nthreads;
-  std::vector<std::thread> workers;
-  for (size_t w = 0; w < nthreads; w++) {
-    const size_t lo = w * chunk;
-    const size_t hi = std::min(trials.size(), lo + chunk);
-    if (lo >= hi) {
-      break;
-    }
-    workers.emplace_back(Worker, &s, &opts, trials.data() + lo, hi - lo, rep.results.data() + lo);
-  }
-  for (std::thread& t : workers) {
-    t.join();
-  }
-  common::SetNowNsForTest(0);
+  testbed::FanOut(trials.size(), opts.threads, [&](size_t lo, size_t hi) {
+    Worker(&s, &opts, trials.data() + lo, hi - lo, rep.results.data() + lo);
+  });
 
   rep.trials = rep.results.size();
   for (const TrialResult& r : rep.results) {

@@ -22,7 +22,11 @@ LogFs::LogFs(kernfs::KernFs* kfs, kernfs::Process* proc, Options opts)
   (void)st;  // a failed mount leaves an empty instance; ops return errors
 }
 
-LogFs::~LogFs() { kfs_->FsUmount(*proc_); }
+LogFs::~LogFs() {
+  if (!abandoned_) {
+    kfs_->FsUmount(*proc_);
+  }
+}
 
 LogFs::VNode* LogFs::Get(uint64_t id) {
   auto it = nodes_.find(id);

@@ -77,6 +77,8 @@ class LogFs final : public ufs::MicroFs {
   Status EnsureAccess(ufs::NodeRef node, bool writable) override;
 
   Result<ufs::RecoveryStats> RecoverAll() override;
+  // The destructor of an abandoned instance leaves the kernel alone.
+  void Abandon() override { abandoned_ = true; }
 
   // Forces a compaction pass (also triggered automatically); returns pages
   // freed. Exposed for tests and the ablation bench.
@@ -207,6 +209,7 @@ class LogFs final : public ufs::MicroFs {
   uint64_t records_written_ GUARDED_BY(mu_) = 0;
   uint64_t live_records_ GUARDED_BY(mu_) = 0;  // approximation driving GC
   uint64_t replayed_records_ = 0;
+  bool abandoned_ = false;
 };
 
 }  // namespace logfs

@@ -19,6 +19,7 @@
 #include "src/mpk/keyclass.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 #include "src/zofs/alloc.h"
 #include "src/zofs/zofs.h"
 
@@ -58,7 +59,7 @@ struct Tenant {
   uint32_t uid = 0;
   uint64_t vtid = 0;
   std::string dir;
-  std::unique_ptr<fslib::FsLib> fs;
+  fslib::FsLib* fs = nullptr;  // owned by the soak's stack
   vfs::Cred cred;
   // Kill-target scratch files, never entered into the durable model (a kill
   // interrupts an op on them, leaving their content undefined).
@@ -95,7 +96,6 @@ class Soak {
   static constexpr uint64_t kBaseNs = 1'000'000'000ull;
   static constexpr uint64_t kLeaseJumpNs = 10'000'000'000ull;  // > lease + backoff
 
-  void Boot(bool format);
   void MakeTenant(Tenant* t, uint32_t id);   // may throw ProcessKilledError
   void ReopenFds(Tenant* t);
   void RecycleGracefully(Tenant* t);
@@ -116,38 +116,22 @@ class Soak {
   const uint64_t base_steals_, base_repairs_, base_lists_, base_mappings_, base_grants_;
   const uint64_t base_kevict_, base_kretag_;
 
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> janitor_;
+  std::unique_ptr<testbed::Stack> stack_;
+  fslib::FsLib* janitor_ = nullptr;
   const vfs::Cred root_cred_{0, 0};
   const uint64_t janitor_vtid_ = 7;
   std::vector<Tenant> tenants_;
-  // Abandoned FsLibs held until the reaper has drained their channel rings.
-  std::vector<std::unique_ptr<fslib::FsLib>> morgue_;
   std::vector<uint32_t> retired_uids_;  // corruption targets
   uint32_t next_tenant_id_ = 0;
   uint32_t kill_cursor_ = 0;
 };
-
-void Soak::Boot(bool format) {
-  if (format) {
-    kernfs::FormatOptions f;
-    f.root_mode = 0777;  // tenants create their own /tN under the shared root
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-  } else {
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-  }
-  kfs_->set_kernel_crossing_ns(0);
-  janitor_ = std::make_unique<fslib::FsLib>(kfs_.get(), root_cred_);
-  mpk::BindThreadToProcess(nullptr);
-}
 
 void Soak::MakeTenant(Tenant* t, uint32_t id) {
   t->uid = 100 + id;
   t->vtid = 1000 + id;
   t->dir = "/t" + std::to_string(id);
   t->cred = vfs::Cred{t->uid, t->uid};
-  t->fs = std::make_unique<fslib::FsLib>(kfs_.get(), t->cred);
+  t->fs = stack_->AddProcess(t->cred);
   // Everything from here on may hit an armed kill point (the
   // holding-leased-list kill targets a fresh tenant's first allocations).
   zofs::ScopedTidOverride tid(t->vtid);
@@ -183,8 +167,8 @@ void Soak::RecycleGracefully(Tenant* t) {
   // DestroyProcess returns every unharvested grant (the leak fix under test).
   zofs::ScopedTidOverride tid(t->vtid);
   t->fs->BindThread();
-  t->fs.reset();
-  t->fs = std::make_unique<fslib::FsLib>(kfs_.get(), t->cred);
+  stack_->Exit(t->fs);
+  t->fs = stack_->AddProcess(t->cred);
   t->fs->BindThread();
   ReopenFds(t);
   mpk::BindThreadToProcess(nullptr);
@@ -327,13 +311,14 @@ void Soak::TargetedOp(Tenant* t, const char* point, uint32_t seq) {
 
 std::unordered_set<uint64_t> Soak::PagesOwnedBy(uint32_t uid) {
   std::unordered_set<uint64_t> pages;
-  std::vector<uint32_t> cids = kfs_->AllCofferIds();
+  kernfs::KernFs* kfs = stack_->kfs();
+  std::vector<uint32_t> cids = kfs->AllCofferIds();
   std::sort(cids.begin(), cids.end());
   for (uint32_t cid : cids) {
-    if (kfs_->RootPageOf(cid)->uid != uid) {
+    if (kfs->RootPageOf(cid)->uid != uid) {
       continue;
     }
-    auto runs = kfs_->PagesOf(cid);
+    auto runs = kfs->PagesOf(cid);
     if (!runs.ok()) {
       continue;
     }
@@ -357,11 +342,11 @@ void Soak::ProcessCorpse(Tenant* victim) {
   kernfs::KillOptions ko;
   ko.stray_writes = (rep_.kills % 2 == 1) ? opts_.stray_writes : 0;
   ko.seed = rng_.Next();
-  ko.spare_coffers = {kfs_->root_coffer_id()};
+  ko.spare_coffers = {stack_->kfs()->root_coffer_id()};
   std::vector<uint8_t> before, after;
-  dev_->SnapshotTo(&before);
-  kernfs::KillStats ks = kfs_->KillProcess(victim->fs->proc(), ko);
-  dev_->SnapshotTo(&after);
+  stack_->dev()->SnapshotTo(&before);
+  kernfs::KillStats ks = stack_->Kill(victim->fs, ko);
+  stack_->dev()->SnapshotTo(&after);
   rep_.stray_attempted += ks.stray_attempted;
   rep_.stray_landed += ks.stray_landed;
   rep_.stray_blocked += ks.stray_blocked;
@@ -369,22 +354,17 @@ void Soak::ProcessCorpse(Tenant* victim) {
     victim->tainted = true;
   }
   const std::unordered_set<uint64_t> allowed = PagesOwnedBy(victim->uid);
-  for (uint64_t p = 0; p * nvm::kPageSize < before.size(); p++) {
-    if (std::memcmp(&before[p * nvm::kPageSize], &after[p * nvm::kPageSize],
-                    nvm::kPageSize) != 0 &&
-        allowed.count(p) == 0) {
-      rep_.mpk_escapes++;
-    }
-  }
+  rep_.mpk_escapes += testbed::EscapedPages(before.data(), after.data(),
+                                            before.size() / nvm::kPageSize,
+                                            [&](uint64_t p) { return allowed.count(p) != 0; })
+                          .size();
 
   // The corpse's FsLib must outlive the reap: the kernel reclaims the
   // unharvested grants through the still-live Channel objects.
-  victim->fs->Abandon();
-  morgue_.push_back(std::move(victim->fs));
-
   common::AdvanceNowNsForTest(kLeaseJumpNs);  // leases lapse; reaper backoff passes
-  rep_.reaped_processes += kfs_->ReapDeadProcesses();
-  morgue_.clear();
+  rep_.reaped_processes += stack_->kfs()->ReapDeadProcesses();
+  stack_->Exit(victim->fs);
+  victim->fs = nullptr;
 }
 
 void Soak::JanitorRepairAndVerify(const Tenant& victim) {
@@ -450,7 +430,7 @@ void Soak::JanitorRepairAndVerify(const Tenant& victim) {
   // The dead tenant's completed+synced data must have survived its death
   // (unless its own stray writes legally damaged it).
   if (!victim.tainted) {
-    VerifyDurable(janitor_.get(), root_cred_, victim);
+    VerifyDurable(janitor_, root_cred_, victim);
   }
   mpk::BindThreadToProcess(nullptr);
 }
@@ -458,7 +438,7 @@ void Soak::JanitorRepairAndVerify(const Tenant& victim) {
 void Soak::JanitorSweepLists() {
   zofs::ScopedTidOverride tid(janitor_vtid_);
   janitor_->BindThread();
-  std::vector<uint32_t> cids = kfs_->AllCofferIds();
+  std::vector<uint32_t> cids = stack_->kfs()->AllCofferIds();
   std::sort(cids.begin(), cids.end());
   for (uint32_t cid : cids) {
     (void)janitor_->zofs().ReclaimExpiredLists(cid);
@@ -467,19 +447,12 @@ void Soak::JanitorSweepLists() {
 }
 
 void Soak::VerifyDurable(fslib::FsLib* fs, const vfs::Cred& cred, const Tenant& t) {
+  // Durable content must read back as a prefix: a repaired staged intent
+  // may have replayed an untracked tail onto the append log.
   for (const auto& [path, content] : t.durable) {
-    bool ok = false;
-    auto fd = fs->Open(cred, path, vfs::kRead, 0);
-    if (fd.ok()) {
-      auto st = fs->Fstat(*fd);
-      if (st.ok() && st->size >= content.size()) {
-        std::string got(content.size(), 0);
-        auto n = fs->Pread(*fd, got.data(), got.size(), 0);
-        ok = n.ok() && *n == got.size() && got == content;
-      }
-      fs->Close(*fd);
-    }
-    if (!ok) {
+    std::string got;
+    if (testbed::ReadFile(fs, cred, path, &got) != 1 ||
+        got.compare(0, content.size(), content) != 0) {
       rep_.durability_violations++;
     }
   }
@@ -515,7 +488,7 @@ void Soak::KillOne(uint32_t round) {
     if (victim == &scratch_tenant && victim->fs != nullptr) {
       zofs::ScopedTidOverride tid(victim->vtid);
       victim->fs->BindThread();
-      victim->fs.reset();
+      stack_->Exit(victim->fs);
       mpk::BindThreadToProcess(nullptr);
     }
     return;
@@ -561,46 +534,34 @@ void Soak::CrashRemount() {
     }
   }
 
-  // Crash semantics: nobody gets to run cleanup, so every FsLib is abandoned
-  // before destruction and the kernel is simply dropped.
-  for (Tenant& t : tenants_) {
-    t.fs->Abandon();
-    t.fs.reset();
-  }
-  janitor_->Abandon();
-  janitor_.reset();
-  kfs_.reset();
-  dev_->SimulateCrash();
+  stack_->Crash();
   if (corrupt_off != 0) {
-    const uint8_t old = *dev_->As<uint8_t>(corrupt_off);
-    dev_->Store8(corrupt_off, old ^ (1u << rng_.Below(8)));
+    nvm::NvmDevice* dev = stack_->dev();
+    const uint8_t old = *dev->As<uint8_t>(corrupt_off);
+    dev->Store8(corrupt_off, old ^ (1u << rng_.Below(8)));
     rep_.corruptions_injected++;
   }
 
-  Boot(/*format=*/false);
+  stack_->Mount();
+  janitor_ = stack_->AddProcess(root_cred_);
+  mpk::BindThreadToProcess(nullptr);
   {
     zofs::ScopedTidOverride tid(janitor_vtid_);
-    janitor_->BindThread();
-    auto stats = janitor_->zofs().RecoverAll();
-    if (!stats.ok()) {
-      rep_.fsck_violations++;
-    }
-    if (!kfs_->CheckAllocTableForTest().empty()) {
-      rep_.fsck_violations++;
-    }
+    const testbed::FsckResult fsck = stack_->Fsck(janitor_);
+    rep_.fsck_violations += !fsck.recovery.empty();
+    rep_.fsck_violations += !fsck.alloc.empty();
     mpk::BindThreadToProcess(nullptr);
   }
-  dev_->MarkAllPersistent();
 
   // Tenants remount and re-verify: everything they completed and synced
   // before the crash must still be there, byte for byte.
   for (Tenant& t : tenants_) {
-    t.fs = std::make_unique<fslib::FsLib>(kfs_.get(), t.cred);
+    t.fs = stack_->AddProcess(t.cred);
     zofs::ScopedTidOverride tid(t.vtid);
     t.fs->BindThread();
     ReopenFds(&t);
     if (!t.tainted) {
-      VerifyDurable(t.fs.get(), t.cred, t);
+      VerifyDurable(t.fs, t.cred, t);
     }
     // The untracked append log may hold a replayed tail from a repaired
     // staged intent; truncate the durable model's view is unnecessary — the
@@ -613,13 +574,12 @@ SoakReport Soak::Run() {
   common::ScopedClockPin pin(kBaseNs);
   common::InstallKillPoint(&KillHandler, &arm_);
 
-  nvm::Options no;
-  no.size_bytes = opts_.device_mb << 20;
-  no.crash_tracking = true;
-  dev_ = std::make_unique<nvm::NvmDevice>(no);
-  mpk::InstallDeviceHook(dev_.get());
-  Boot(/*format=*/true);
-  dev_->MarkAllPersistent();
+  // Tenants create their own /tN under the shared 0777 root.
+  stack_ = std::make_unique<testbed::Stack>(
+      nvm::Options{.size_bytes = opts_.device_mb << 20, .crash_tracking = true, .media = {}},
+      kernfs::FormatOptions{.root_mode = 0777});
+  janitor_ = stack_->AddProcess(root_cred_);
+  mpk::BindThreadToProcess(nullptr);
 
   tenants_.resize(opts_.tenants);
   for (uint32_t i = 0; i < opts_.tenants; i++) {
@@ -646,11 +606,9 @@ SoakReport Soak::Run() {
   for (Tenant& t : tenants_) {
     zofs::ScopedTidOverride tid(t.vtid);
     t.fs->BindThread();
-    t.fs.reset();
+    stack_->Exit(t.fs);
   }
-  mpk::BindThreadToProcess(nullptr);
-  janitor_.reset();
-  kfs_.reset();
+  stack_->Shutdown();
   common::InstallKillPoint(nullptr, nullptr);
 
   rep_.lock_steals = zofs::LockStealCount() - base_steals_;

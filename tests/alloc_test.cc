@@ -9,6 +9,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 #include "src/zofs/alloc.h"
 #include "src/zofs/layout.h"
 #include "tests/store_trap.h"
@@ -20,14 +21,6 @@ using zofs::CofferAllocator;
 class AllocTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 64ull << 20;
-    o.crash_tracking = true;  // the lease-renewal test simulates a crash
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
     proc_ = kfs_->CreateProcess(vfs::Cred{0, 0});
     proc_->BindCurrentThread();
     auto id = kfs_->CofferNew(*proc_, "/c", kernfs::kCofferTypeZofs, 0644, 0, 0, 2);
@@ -36,19 +29,19 @@ class AllocTest : public ::testing::Test {
     info_ = *info;
     {
       mpk::AccessWindow w(info_.key, true);
-      CofferAllocator::InitPool(dev_.get(), info_.custom_off);
+      CofferAllocator::InitPool(dev_, info_.custom_off);
     }
   }
-  void TearDown() override { mpk::BindThreadToProcess(nullptr); }
 
   std::unique_ptr<CofferAllocator> NewAlloc(uint64_t lease_ns = 1'000'000'000,
                                             uint64_t batch = 16) {
-    return std::make_unique<CofferAllocator>(kfs_.get(), proc_, cid_, info_.custom_off, lease_ns,
-                                             batch);
+    return std::make_unique<CofferAllocator>(kfs_, proc_, cid_, info_.custom_off, lease_ns, batch);
   }
 
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
+  // The lease-renewal test simulates a crash.
+  testbed::Stack stack_{{.size_bytes = 64ull << 20, .crash_tracking = true, .media = {}}, {}};
+  nvm::NvmDevice* dev_ = stack_.dev();
+  kernfs::KernFs* kfs_ = stack_.kfs();
   kernfs::Process* proc_ = nullptr;
   uint32_t cid_ = 0;
   kernfs::MapInfo info_;
@@ -147,7 +140,7 @@ TEST_F(AllocTest, FreshListClaimIsNotStealableInsideItsClaimWindow) {
   auto first = NewAlloc();
   auto second = NewAlloc();
   mpk::AccessWindow w(info_.key, true);
-  StoreTrap trap(dev_.get(), list0 + offsetof(zofs::LeasedFreeList, owner_tid), [&] {
+  StoreTrap trap(dev_, list0 + offsetof(zofs::LeasedFreeList, owner_tid), [&] {
     zofs::ScopedTidOverride tid(202);
     EXPECT_TRUE(second->AllocPage(false).ok());
   });
@@ -217,7 +210,9 @@ TEST_F(AllocTest, FastPathLeaseRenewalSurvivesCrash) {
   ASSERT_TRUE(alloc->AllocPage(false).ok());
   const uint64_t renewed = common::NowNs() + lease;
 
-  dev_->SimulateCrash();  // drops every store that was not written back
+  // Drops every store that was not written back; the kernel and proc_ go
+  // with it, and the reads below run unbound.
+  stack_.Crash();
 
   const uint64_t tid = zofs::CurrentTid();
   uint64_t on_media = 0;

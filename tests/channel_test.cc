@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -22,6 +21,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 #include "src/zofs/zofs.h"
 
 namespace {
@@ -36,19 +36,9 @@ const vfs::Cred kCred{0, 0};
 class ChannelTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    o.crash_tracking = true;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
     proc_ = kfs_->CreateProcess(kCred);
     proc_->BindCurrentThread();
   }
-  void TearDown() override { mpk::BindThreadToProcess(nullptr); }
 
   uint32_t NewCoffer(const std::string& path) {
     auto id = kfs_->CofferNew(*proc_, path, kernfs::kCofferTypeZofs, 0644, 0, 0, 2);
@@ -71,8 +61,9 @@ class ChannelTest : public ::testing::Test {
     return RunPages(*runs);
   }
 
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
+  testbed::Stack stack_{{.size_bytes = 128ull << 20, .crash_tracking = true, .media = {}},
+                        {.root_mode = 0755}};
+  kernfs::KernFs* kfs_ = stack_.kfs();
   kernfs::Process* proc_ = nullptr;
 };
 
@@ -80,7 +71,7 @@ TEST_F(ChannelTest, BatchedRequestsShareOneCrossing) {
   const uint32_t c1 = NewCoffer("/c1");
   const uint32_t c2 = NewCoffer("/c2");
   const uint32_t c3 = NewCoffer("/c3");
-  kernfs::Channel ch(kfs_.get(), proc_);
+  kernfs::Channel ch(kfs_, proc_);
 
   EXPECT_NE(ch.SubmitEnlarge(c1, 4), 0u);
   EXPECT_NE(ch.SubmitEnlarge(c2, 4), 0u);
@@ -119,7 +110,7 @@ TEST_F(ChannelTest, BatchedRequestsShareOneCrossing) {
 TEST_F(ChannelTest, SyncOpDrainsQueueInSameCrossing) {
   const uint32_t c1 = NewCoffer("/c1");
   const uint32_t c2 = NewCoffer("/c2");
-  kernfs::Channel ch(kfs_.get(), proc_);
+  kernfs::Channel ch(kfs_, proc_);
 
   EXPECT_NE(ch.SubmitEnlarge(c1, 4), 0u);
   const uint64_t total0 = kernfs::CrossingCount();
@@ -144,7 +135,7 @@ TEST_F(ChannelTest, SyncOpDrainsQueueInSameCrossing) {
 
 TEST_F(ChannelTest, TakeEnlargeExecutesQueuedRequest) {
   const uint32_t c1 = NewCoffer("/c1");
-  kernfs::Channel ch(kfs_.get(), proc_);
+  kernfs::Channel ch(kfs_, proc_);
 
   EXPECT_NE(ch.SubmitEnlarge(c1, 4), 0u);
   EXPECT_TRUE(ch.HasPendingEnlarge(c1));
@@ -165,7 +156,7 @@ TEST_F(ChannelTest, TakeEnlargeExecutesQueuedRequest) {
 
 TEST_F(ChannelTest, SubmitEnlargeDedupsPerCoffer) {
   const uint32_t c1 = NewCoffer("/c1");
-  kernfs::Channel ch(kfs_.get(), proc_);
+  kernfs::Channel ch(kfs_, proc_);
 
   EXPECT_NE(ch.SubmitEnlarge(c1, 4), 0u);
   EXPECT_EQ(ch.SubmitEnlarge(c1, 4), 0u);  // already queued
@@ -187,7 +178,7 @@ TEST_F(ChannelTest, SubmitEnlargeDedupsPerCoffer) {
 TEST_F(ChannelTest, MapThroughChannel) {
   auto id = kfs_->CofferNew(*proc_, "/m", kernfs::kCofferTypeZofs, 0644, 0, 0, 2);
   ASSERT_TRUE(id.ok());
-  kernfs::Channel ch(kfs_.get(), proc_);
+  kernfs::Channel ch(kfs_, proc_);
 
   auto info = ch.Map(*id, true);
   ASSERT_TRUE(info.ok());
@@ -199,7 +190,7 @@ TEST_F(ChannelTest, MapThroughChannel) {
 
 TEST_F(ChannelTest, CorruptedEntryCompletesInvalWithoutDispatch) {
   const uint32_t c1 = NewCoffer("/c1");
-  kernfs::Channel ch(kfs_.get(), proc_);
+  kernfs::Channel ch(kfs_, proc_);
 
   EXPECT_NE(ch.SubmitEnlarge(c1, 8), 0u);
   ASSERT_TRUE(ch.CorruptQueuedForTest(0));
@@ -224,7 +215,7 @@ TEST_F(ChannelTest, CorruptedEntryCompletesInvalWithoutDispatch) {
 TEST_F(ChannelTest, DrainReturnsUnharvestedGrantsAndDropsQueued) {
   const uint32_t c1 = NewCoffer("/c1");
   const uint32_t c2 = NewCoffer("/c2");
-  kernfs::Channel ch(kfs_.get(), proc_);
+  kernfs::Channel ch(kfs_, proc_);
   const uint64_t owned1 = OwnedPages(c1);
   const uint64_t owned2 = OwnedPages(c2);
 
@@ -247,11 +238,11 @@ TEST_F(ChannelTest, DrainReturnsUnharvestedGrantsAndDropsQueued) {
 }
 
 TEST_F(ChannelTest, ChannelSetCachesPerThreadAndHonorsDisable) {
-  kernfs::ChannelSet off(kfs_.get(), proc_, /*enabled=*/false);
+  kernfs::ChannelSet off(kfs_, proc_, /*enabled=*/false);
   EXPECT_FALSE(off.enabled());
   EXPECT_EQ(off.Current(), nullptr);
 
-  kernfs::ChannelSet on(kfs_.get(), proc_, /*enabled=*/true);
+  kernfs::ChannelSet on(kfs_, proc_, /*enabled=*/true);
   kernfs::Channel* ch = on.Current();
   ASSERT_NE(ch, nullptr);
   EXPECT_EQ(on.Current(), ch);  // thread-local cache hit
@@ -276,7 +267,7 @@ TEST_F(ChannelTest, DestroyProcessReclaimsUnharvestedGrants) {
   const uint64_t owned1 = OwnedPages(c1);
   const uint64_t owned2 = OwnedPages(c2);
   {
-    kernfs::Channel ch(kfs_.get(), proc_);
+    kernfs::Channel ch(kfs_, proc_);
     // c1: executed, grant parked in the completion ring; c2: still queued.
     EXPECT_NE(ch.SubmitEnlarge(c1, 4), 0u);
     ch.Flush();
@@ -304,30 +295,6 @@ TEST_F(ChannelTest, DestroyProcessReclaimsUnharvestedGrants) {
 // ---------------------------------------------------------------------------
 // Differential equivalence: the same workload through the channel path and
 // through the Options::sync_crossings test hook must produce identical trees.
-
-struct Stack {
-  std::unique_ptr<nvm::NvmDevice> dev;
-  std::unique_ptr<kernfs::KernFs> kfs;
-  std::unique_ptr<fslib::FsLib> fs;
-
-  explicit Stack(bool sync_crossings) {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    dev = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0755;
-    kfs = std::make_unique<kernfs::KernFs>(dev.get(), f);
-    kfs->set_kernel_crossing_ns(0);
-    zofs::Options zo;
-    zo.sync_crossings = sync_crossings;
-    fs = std::make_unique<fslib::FsLib>(kfs.get(), kCred, zo);
-    // Unbind so building another Stack (KernFs format on a second device)
-    // is not checked against THIS stack's page-key table; every FsLib op
-    // re-binds its own process on entry.
-    mpk::BindThreadToProcess(nullptr);
-  }
-};
 
 void ChurnWorkload(fslib::FsLib* fs) {
   ASSERT_TRUE(fs->Mkdir(kCred, "/d", 0755).ok());
@@ -374,23 +341,28 @@ void ExpectSameTree(fslib::FsLib* a, fslib::FsLib* b) {
 }
 
 TEST(ChannelDifferentialTest, ChurnEquivalentToSyncCrossings) {
-  Stack channel(/*sync_crossings=*/false);
-  Stack sync(/*sync_crossings=*/true);
-  EXPECT_TRUE(channel.fs->zofs().channels().enabled());
-  EXPECT_FALSE(sync.fs->zofs().channels().enabled());
+  const nvm::Options dev{.size_bytes = 128ull << 20, .media = {}};
+  const kernfs::FormatOptions fmt{.root_mode = 0755};
+  testbed::Stack channel_stack(dev, fmt);
+  fslib::FsLib* channel = channel_stack.AddProcess(kCred);
+  testbed::Stack sync_stack(dev, fmt);
+  zofs::Options zo;
+  zo.sync_crossings = true;
+  fslib::FsLib* sync = sync_stack.AddProcess(kCred, zo);
+  EXPECT_TRUE(channel->zofs().channels().enabled());
+  EXPECT_FALSE(sync->zofs().channels().enabled());
 
   const uint64_t bg0 = kernfs::BackgroundCrossingCount();
-  ChurnWorkload(sync.fs.get());
+  ChurnWorkload(sync);
   // The sync reference never runs async housekeeping: every crossing it
   // charged was foreground.
   EXPECT_EQ(kernfs::BackgroundCrossingCount(), bg0);
 
-  ChurnWorkload(channel.fs.get());
-  ExpectSameTree(channel.fs.get(), sync.fs.get());
+  ChurnWorkload(channel);
+  ExpectSameTree(channel, sync);
 
-  EXPECT_TRUE(channel.kfs->CheckAllocTableForTest().empty());
-  EXPECT_TRUE(sync.kfs->CheckAllocTableForTest().empty());
-  mpk::BindThreadToProcess(nullptr);
+  EXPECT_TRUE(channel_stack.kfs()->CheckAllocTableForTest().empty());
+  EXPECT_TRUE(sync_stack.kfs()->CheckAllocTableForTest().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -402,56 +374,27 @@ TEST(ChannelDifferentialTest, ChurnEquivalentToSyncCrossings) {
 
 class ChannelCrashTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    o.crash_tracking = true;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    Boot(/*format=*/true);
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
-
-  void Boot(bool format) {
-    fs_.reset();
-    kfs_.reset();
-    if (format) {
-      kernfs::FormatOptions f;
-      f.root_mode = 0755;
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    } else {
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-    }
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), kCred);
-    dev_->MarkAllPersistent();
-  }
-
-  // Strict crash: snapshot the rolled-back image BEFORE tearing down the old
-  // stack, then restore it. The ZoFs destructor drains the channels
-  // (CofferShrink of unharvested grants) — post-crash writes that must not
-  // leak into the image the reboot recovers, or the test would never see the
-  // stranded-pages state it exists to cover.
+  // Crashes, remounts and recovers. A crash abandons the process, so its
+  // ZoFs destructor never drains the channels (a CofferShrink of unharvested
+  // grants): the remounted kernel, before recovery, must count exactly the
+  // free pages it counted just before the crash, and recovery then reclaims
+  // the stranded ones.
   void CrashAndReboot() {
-    dev_->SimulateCrash();
-    std::vector<uint8_t> img;
-    dev_->SnapshotTo(&img);
-    fs_.reset();
-    kfs_.reset();
-    dev_->RestoreFrom(img.data(), img.size());
-    Boot(/*format=*/false);
-    auto stats = fs_->zofs().RecoverAll();
-    ASSERT_TRUE(stats.ok()) << common::ErrName(stats.error());
-    EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+    const uint64_t free_before = kfs_->FreePages();
+    stack_.Crash();
+    stack_.Mount();
+    kfs_ = stack_.kfs();
+    EXPECT_EQ(kfs_->FreePages(), free_before) << "cleanup reached the crashed image";
+    fs_ = stack_.AddProcess(kCred);
+    testbed::FsckResult fsck = stack_.Fsck(fs_);
+    ASSERT_TRUE(fsck.recovery.empty()) << fsck.recovery;
+    EXPECT_TRUE(fsck.alloc.empty()) << fsck.alloc;
   }
 
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  testbed::Stack stack_{{.size_bytes = 128ull << 20, .crash_tracking = true, .media = {}},
+                        {.root_mode = 0755}};
+  kernfs::KernFs* kfs_ = stack_.kfs();
+  fslib::FsLib* fs_ = stack_.AddProcess(kCred);
 };
 
 TEST_F(ChannelCrashTest, PartiallyDrainedRingSweep) {

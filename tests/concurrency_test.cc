@@ -8,7 +8,6 @@
 
 #include <atomic>
 #include <functional>
-#include <memory>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -17,6 +16,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 #include "src/zofs/layout.h"
 #include "src/zofs/zofs.h"
 
@@ -24,27 +24,11 @@ namespace {
 
 class ConcurrencyTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 512ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0});
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
-
   vfs::Cred cred{0, 0};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  testbed::Stack stack_{{.size_bytes = 512ull << 20, .media = {}}, {.root_mode = 0755}};
+  nvm::NvmDevice* dev_ = stack_.dev();
+  kernfs::KernFs* kfs_ = stack_.kfs();
+  fslib::FsLib* fs_ = stack_.AddProcess(cred);
 };
 
 TEST_F(ConcurrencyTest, ParallelAppendersToPrivateFiles) {
@@ -174,7 +158,7 @@ TEST_F(ConcurrencyTest, ExclusiveCreateRaceHasOneWinner) {
 }
 
 TEST_F(ConcurrencyTest, TwoProcessesInterleaveOnSharedTree) {
-  fslib::FsLib p2(kfs_.get(), vfs::Cred{0, 0});
+  fslib::FsLib* p2 = stack_.AddProcess(vfs::Cred{0, 0});
   ASSERT_TRUE(fs_->Mkdir(cred, "/both", 0755).ok());
   std::atomic<int> errors{0};
   std::thread t1([&]() {
@@ -188,14 +172,14 @@ TEST_F(ConcurrencyTest, TwoProcessesInterleaveOnSharedTree) {
     }
   });
   std::thread t2([&]() {
-    p2.BindThread();
+    p2->BindThread();
     for (int i = 0; i < 200; i++) {
-      auto fd = p2.Open(cred, "/both/p2_" + std::to_string(i), vfs::kCreate | vfs::kWrite, 0644);
-      if (!fd.ok() || !p2.Write(*fd, "two", 3).ok()) {
+      auto fd = p2->Open(cred, "/both/p2_" + std::to_string(i), vfs::kCreate | vfs::kWrite, 0644);
+      if (!fd.ok() || !p2->Write(*fd, "two", 3).ok()) {
         errors++;
       }
       if (i % 10 == 0) {
-        p2.ReadDir(cred, "/both");
+        p2->ReadDir(cred, "/both");
       }
     }
   });
@@ -307,11 +291,10 @@ class DirRemovalRaceTest : public ConcurrencyTest {
     EXPECT_EQ(lost.load(), 0) << "of " << created.load() << " created files";
 
     // Remount, count the free-listed pages, and let recovery reclaim.
-    fs_.reset();
-    kfs_.reset();
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), cred);
+    stack_.Shutdown();
+    stack_.Mount();
+    kfs_ = stack_.kfs();
+    fs_ = stack_.AddProcess(cred);
     fs_->BindThread();
     uint64_t listed = 0;
     for (uint32_t cid : kfs_->AllCofferIds()) {
@@ -325,10 +308,10 @@ class DirRemovalRaceTest : public ConcurrencyTest {
         }
       }
     }
-    auto stats = fs_->zofs().RecoverAll();
-    ASSERT_TRUE(stats.ok()) << common::ErrName(stats.error());
-    EXPECT_LE(stats->pages_reclaimed, listed) << "pages leaked";
-    EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+    testbed::FsckResult fsck = stack_.Fsck(fs_);
+    ASSERT_TRUE(fsck.recovery.empty()) << fsck.recovery;
+    EXPECT_LE(fsck.stats.pages_reclaimed, listed) << "pages leaked";
+    EXPECT_TRUE(fsck.alloc.empty()) << fsck.alloc;
   }
 };
 

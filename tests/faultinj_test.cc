@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <memory>
 
 #include "src/common/clock.h"
 #include "src/faultinj/faultinj.h"
@@ -16,6 +15,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 #include "src/zofs/zofs.h"
 
 namespace {
@@ -85,33 +85,18 @@ TEST(FaultInjCampaign, ReportIsDeterministicAcrossThreadCounts) {
 
 class SickCofferTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    // Pin logical time so the quarantine backoff plays out deterministically.
-    common::SetNowNsForTest(1'000'000'000'000ull);
-    nvm::Options o;
-    o.size_bytes = 64ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-  }
-  void TearDown() override {
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-    common::SetNowNsForTest(0);
-  }
-
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
+  // Pins logical time so the quarantine backoff plays out deterministically.
+  common::ScopedClockPin clock_{1'000'000'000'000ull};
+  testbed::Stack stack_{{.size_bytes = 64ull << 20, .media = {}}, {.root_mode = 0755}};
+  nvm::NvmDevice* dev_ = stack_.dev();
+  kernfs::KernFs* kfs_ = stack_.kfs();
 };
 
 TEST_F(SickCofferTest, QuarantineBacksOffIsolatesSiblingsAndRecovers) {
   constexpr uint64_t kBackoffNs = 10'000'000;
   zofs::Options zo;
   zo.sick_backoff_ns = kBackoffNs;
-  fslib::FsLib p(kfs_.get(), vfs::Cred{0, 0}, zo);
+  fslib::FsLib& p = *stack_.AddProcess(vfs::Cred{0, 0}, zo);
   vfs::Cred c{0, 0};
 
   // A private (0600) file gets its own coffer; a root-coffer sibling rides

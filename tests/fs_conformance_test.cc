@@ -365,10 +365,7 @@ TEST_P(FsConformanceTest, QuarantinedCofferFailsFastWithEio) {
   ASSERT_NE(p, nullptr);
   // Pin logical time (restored on scope exit) so the quarantine backoff
   // cannot elapse mid-test on a slow machine.
-  struct ClockPin {
-    ClockPin() { common::SetNowNsForTest(common::RealNowNs()); }
-    ~ClockPin() { common::SetNowNsForTest(0); }
-  } pin;
+  common::ScopedClockPin pin(common::RealNowNs());
 
   auto sfd = fs_->Open(kCred, "/secret", vfs::kCreate | vfs::kRdWr, 0600);
   ASSERT_TRUE(sfd.ok());

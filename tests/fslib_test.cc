@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 
 namespace {
 
@@ -19,27 +19,10 @@ using common::Err;
 
 class FsLibTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0});
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
-
   vfs::Cred cred{0, 0};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  testbed::Stack stack_{{.size_bytes = 128ull << 20, .media = {}}, {.root_mode = 0755}};
+  nvm::NvmDevice* dev_ = stack_.dev();
+  fslib::FsLib* fs_ = stack_.AddProcess(cred);
 };
 
 TEST_F(FsLibTest, FdsAreAssignedLowestFirst) {
@@ -112,13 +95,13 @@ TEST_F(FsLibTest, WriteOnDirectoryFdPathRejected) {
 }
 
 TEST_F(FsLibTest, PerProcessFdTablesAreIndependent) {
-  fslib::FsLib other(kfs_.get(), vfs::Cred{0, 0});
+  fslib::FsLib* other = stack_.AddProcess(vfs::Cred{0, 0});
   auto a = fs_->Open(cred, "/a", vfs::kCreate | vfs::kWrite, 0644);
-  auto b = other.Open(cred, "/b", vfs::kCreate | vfs::kWrite, 0644);
+  auto b = other->Open(cred, "/b", vfs::kCreate | vfs::kWrite, 0644);
   EXPECT_EQ(*a, 0);
   EXPECT_EQ(*b, 0);  // same number, different process
   // The other process's fd 0 is /b, not /a.
-  auto st = other.Fstat(*b);
+  auto st = other->Fstat(*b);
   ASSERT_TRUE(st.ok());
   fs_->BindThread();
   char buf[4];

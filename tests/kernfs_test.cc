@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "src/mpk/keyclass.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 
 namespace {
 
@@ -23,20 +23,9 @@ using kernfs::Process;
 class KernFsTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 64ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0755;
-    f.root_uid = 100;
-    f.root_gid = 100;
-    kfs_ = std::make_unique<KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
     proc_ = kfs_->CreateProcess(vfs::Cred{100, 100});
     proc_->BindCurrentThread();
   }
-  void TearDown() override { mpk::BindThreadToProcess(nullptr); }
 
   // Creates + maps a coffer for proc_.
   uint32_t MakeCoffer(const std::string& path, uint16_t mode = 0644) {
@@ -47,8 +36,10 @@ class KernFsTest : public ::testing::Test {
     return *id;
   }
 
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<KernFs> kfs_;
+  testbed::Stack stack_{{.size_bytes = 64ull << 20, .media = {}},
+                        {.root_mode = 0755, .root_uid = 100, .root_gid = 100}};
+  nvm::NvmDevice* dev_ = stack_.dev();
+  KernFs* kfs_ = stack_.kfs();
   Process* proc_ = nullptr;
 };
 
@@ -310,9 +301,9 @@ TEST_F(KernFsTest, ReopenRebuildsState) {
   uint64_t free_before = kfs_->FreePages();
 
   // Re-open the device (simulates a reboot).
-  mpk::BindThreadToProcess(nullptr);
-  kfs_ = std::make_unique<KernFs>(dev_.get());
-  kfs_->set_kernel_crossing_ns(0);
+  stack_.Shutdown();
+  stack_.Mount();
+  kfs_ = stack_.kfs();
   proc_ = kfs_->CreateProcess(vfs::Cred{100, 100});
   proc_->BindCurrentThread();
 

@@ -5,13 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 
 #include "src/fslib/fslib.h"
 #include "src/kernfs/kernfs.h"
 #include "src/logfs/logfs.h"
-#include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 
 namespace {
 
@@ -19,42 +18,26 @@ using common::Err;
 
 class LogFsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 256ull << 20;
-    o.crash_tracking = true;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    Boot(/*format=*/true);
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
-
-  void Boot(bool format) {
-    fs_.reset();
-    kfs_.reset();
-    if (format) {
-      kernfs::FormatOptions f;
-      f.root_mode = 0755;
-      f.root_type = kernfs::kCofferTypeLogFs;
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
+  // Remounts the device after a clean shutdown, or after a crash.
+  void Reboot(bool crash) {
+    if (crash) {
+      stack_.Crash();
     } else {
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
+      stack_.Shutdown();
     }
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0});
-    dev_->MarkAllPersistent();
+    stack_.Mount();
+    kfs_ = stack_.kfs();
+    fs_ = stack_.AddProcess(cred);
   }
 
   logfs::LogFs& logfs() { return static_cast<logfs::LogFs&>(fs_->ufs()); }
 
   vfs::Cred cred{0, 0};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  testbed::Stack stack_{{.size_bytes = 256ull << 20, .crash_tracking = true, .media = {}},
+                        {.root_mode = 0755, .root_type = kernfs::kCofferTypeLogFs}};
+  nvm::NvmDevice* dev_ = stack_.dev();
+  kernfs::KernFs* kfs_ = stack_.kfs();
+  fslib::FsLib* fs_ = stack_.AddProcess(cred);
 };
 
 TEST_F(LogFsTest, DispatcherSelectsLogFs) {
@@ -70,7 +53,7 @@ TEST_F(LogFsTest, ReplayRebuildsNamespace) {
   ASSERT_TRUE(fs_->Symlink(cred, "/dir/f", "/link").ok());
   ASSERT_TRUE(fs_->Rename(cred, "/dir/f", "/dir/g").ok());
 
-  Boot(/*format=*/false);  // remount: replay only, no crash
+  Reboot(/*crash=*/false);  // remount: replay only
 
   auto st = fs_->Stat(cred, "/dir/g");
   ASSERT_TRUE(st.ok()) << common::ErrName(st.error());
@@ -98,8 +81,7 @@ TEST_F(LogFsTest, CompletedOpsSurviveCrash) {
   }
   ASSERT_TRUE(fs_->Unlink(cred, "/f7").ok());
 
-  dev_->SimulateCrash();
-  Boot(/*format=*/false);
+  Reboot(/*crash=*/true);
 
   for (int i = 0; i < 40; i++) {
     if (i == 7) {
@@ -147,7 +129,7 @@ TEST_F(LogFsTest, TornTailRecordIsIgnored) {
          sizeof(garbage));
   dev_->MarkAllPersistent();
 
-  Boot(/*format=*/false);
+  Reboot(/*crash=*/false);
   EXPECT_TRUE(fs_->Stat(cred, "/good").ok());
   // The garbage never became part of the namespace.
   auto entries = fs_->ReadDir(cred, "/");
@@ -183,7 +165,7 @@ TEST_F(LogFsTest, CompactionShrinksLogAndPreservesState) {
   EXPECT_EQ(c, static_cast<char>('a' + (1999 % 26)));
 
   // ... and after a remount of the compacted log.
-  Boot(/*format=*/false);
+  Reboot(/*crash=*/false);
   auto st = fs_->Stat(cred, "/churn");
   ASSERT_TRUE(st.ok());
   EXPECT_EQ(st->size, 4096u);
@@ -208,13 +190,11 @@ TEST_F(LogFsTest, RecoverAllReclaimsDeadPages) {
   ASSERT_TRUE(fs_->Pwrite(*fd, big.data(), big.size(), 0).ok());
   ASSERT_TRUE(fs_->Ftruncate(*fd, 4096).ok());  // 255 pages parked in free lists
 
-  dev_->SimulateCrash();
-  Boot(/*format=*/false);
-  fs_->BindThread();
-  auto stats = fs_->ufs().RecoverAll();
-  ASSERT_TRUE(stats.ok()) << common::ErrName(stats.error());
-  EXPECT_GT(stats->pages_reclaimed, 200u);
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+  Reboot(/*crash=*/true);
+  testbed::FsckResult fsck = stack_.Fsck(fs_);
+  ASSERT_TRUE(fsck.recovery.empty()) << fsck.recovery;
+  EXPECT_GT(fsck.stats.pages_reclaimed, 200u);
+  EXPECT_TRUE(fsck.alloc.empty()) << fsck.alloc;
   // The surviving file still reads.
   auto st = fs_->Stat(cred, "/f");
   ASSERT_TRUE(st.ok());

@@ -5,12 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
 
 #include "src/fslib/fslib.h"
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 
 namespace {
 
@@ -18,25 +18,6 @@ using common::Err;
 
 class MmapExecTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0755;
-    f.root_uid = 1000;
-    f.root_gid = 1000;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{1000, 1000});
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
-
   zofs::NodeRef MakeFile(const std::string& path, const std::string& content, uint16_t mode) {
     auto fd = fs_->Open(cred, path, vfs::kCreate | vfs::kWrite, mode);
     EXPECT_TRUE(fd.ok());
@@ -48,9 +29,11 @@ class MmapExecTest : public ::testing::Test {
   }
 
   vfs::Cred cred{1000, 1000};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  testbed::Stack stack_{{.size_bytes = 128ull << 20, .media = {}},
+                        {.root_mode = 0755, .root_uid = 1000, .root_gid = 1000}};
+  nvm::NvmDevice* dev_ = stack_.dev();
+  kernfs::KernFs* kfs_ = stack_.kfs();
+  fslib::FsLib* fs_ = stack_.AddProcess(cred);
 };
 
 TEST_F(MmapExecTest, MmapGivesDirectApplicationAccess) {
@@ -96,7 +79,7 @@ TEST_F(MmapExecTest, MmapOfInlineFileRejected) {
   // Inline files live inside the inode page; they cannot be handed out.
   zofs::Options z;
   z.inline_data = true;
-  auto fs2 = std::make_unique<fslib::FsLib>(kfs_.get(), cred, z);
+  fslib::FsLib* fs2 = stack_.AddProcess(cred, z);
   auto fd = fs2->Open(cred, "/tiny", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fs2->Write(*fd, "small", 5).ok());
   fs2->BindThread();

@@ -20,8 +20,6 @@
 #include <chrono>
 #include <cstring>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +32,7 @@
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
 #include "src/procmon/procmon.h"
+#include "src/testbed/testbed.h"
 #include "src/zofs/alloc.h"
 #include "src/zofs/lease.h"
 #include "src/zofs/zofs.h"
@@ -68,26 +67,9 @@ bool KillHandler(void* ctx, const char* point) {
 
 class ProcmonTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    clock_.emplace(1'000'000'000ull);  // deterministic lease arithmetic
-    nvm::Options o;
-    o.size_bytes = 64ull << 20;
-    o.crash_tracking = true;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0777;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-  }
-
   void TearDown() override {
     common::InstallKillPoint(nullptr, nullptr);
     common::SetCurrentThreadKilled(false);
-    survivor_.reset();
-    victim_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
   }
 
   // Runs `setup` (kill points disarmed) then `op` (kill point armed) on a
@@ -98,18 +80,18 @@ class ProcmonTest : public ::testing::Test {
   void KillTenantAt(const char* point, const std::function<void(fslib::FsLib*)>& setup,
                     const std::function<void(fslib::FsLib*)>& op, uint64_t stall_ns = 0,
                     uint64_t lapse_ns = 10'000'000'000ull) {
-    victim_ = std::make_unique<fslib::FsLib>(kfs_.get(), kTenant);
+    victim_ = stack_.AddProcess(kTenant);
     arm_ = KillArm{point, stall_ns};
     bool fired = false;
     {
       zofs::ScopedTidOverride tid(1000);
       victim_->BindThread();
       if (setup != nullptr) {
-        setup(victim_.get());
+        setup(victim_);
       }
       common::InstallKillPoint(&KillHandler, &arm_);
       try {
-        op(victim_.get());
+        op(victim_);
       } catch (const common::ProcessKilledError& e) {
         EXPECT_STREQ(e.point, point);
         fired = true;
@@ -121,23 +103,23 @@ class ProcmonTest : public ::testing::Test {
     ASSERT_TRUE(fired) << "kill point " << point << " never fired";
 
     kernfs::KillOptions ko;  // no stray burst: these tests isolate repair
-    kfs_->KillProcess(victim_->proc(), ko);
-    victim_->Abandon();
+    stack_.Kill(victim_, ko);
     common::AdvanceNowNsForTest(lapse_ns);
   }
 
   fslib::FsLib* Survivor() {
     if (survivor_ == nullptr) {
-      survivor_ = std::make_unique<fslib::FsLib>(kfs_.get(), kRoot);
+      survivor_ = stack_.AddProcess(kRoot);
     }
-    return survivor_.get();
+    return survivor_;
   }
 
-  std::optional<common::ScopedClockPin> clock_;
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> victim_;
-  std::unique_ptr<fslib::FsLib> survivor_;
+  common::ScopedClockPin clock_{1'000'000'000ull};  // deterministic lease arithmetic
+  testbed::Stack stack_{{.size_bytes = 64ull << 20, .crash_tracking = true, .media = {}},
+                        {.root_mode = 0777}};
+  kernfs::KernFs* kfs_ = stack_.kfs();
+  fslib::FsLib* victim_ = nullptr;
+  fslib::FsLib* survivor_ = nullptr;
   KillArm arm_{nullptr};
 };
 
@@ -409,7 +391,7 @@ TEST_F(ProcmonTest, TwoSurvivorsTakeOverOneDeadRenameIntentOnce) {
   // a second repair would clear or roll forward the first one's intent.
   const uint64_t repairs0 = zofs::OnlineRepairCount();
   fslib::FsLib* fs1 = Survivor();
-  auto fs2 = std::make_unique<fslib::FsLib>(kfs_.get(), kRoot);
+  fslib::FsLib* fs2 = stack_.AddProcess(kRoot);
   vfs::Status second = common::Err::kInval;
   Interleave il;
   il.steals0 = zofs::LockStealCount();
@@ -441,7 +423,7 @@ TEST_F(ProcmonTest, TwoSurvivorsTakeOverOneDeadRenameIntentOnce) {
   EXPECT_FALSE(fs1->Stat(kRoot, "/v/w2/x").ok());
   EXPECT_FALSE(fs1->Stat(kRoot, "/v/a").ok());
   EXPECT_EQ(ReadBack(fs1, "/v/b"), "/v/a");
-  fs2.reset();
+  stack_.Exit(fs2);
 }
 
 TEST_F(ProcmonTest, LockStealRepairsRenameIntentStampedAfterTheLock) {
@@ -533,7 +515,7 @@ TEST_F(ProcmonTest, ReaperReclaimsDeadProcessResources) {
   EXPECT_EQ(kfs_->DeadProcessCountForTest(), 1u);
   EXPECT_GE(kfs_->ReapDeadProcesses(), 1u);
   EXPECT_EQ(kfs_->DeadProcessCountForTest(), 0u);
-  victim_.reset();  // abandoned: touches nothing kernel-side
+  stack_.Exit(victim_);  // abandoned: touches nothing kernel-side
 
   // Mappings and the stranded grant came back without the corpse's help.
   EXPECT_GE(kernfs::ReapedMappingCount() - mappings0, 1u);

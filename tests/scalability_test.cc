@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +25,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 
 namespace {
 
@@ -39,26 +39,11 @@ constexpr int kNumGroupModes = 15;
 
 class ScalabilityBase : public ::testing::Test {
  protected:
-  void Build(zofs::Options zopts) {
-    nvm::Options o;
-    o.size_bytes = 256ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), kCred, zopts);
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
+  void Build(zofs::Options zopts) { fs_ = stack_.AddProcess(kCred, zopts); }
 
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  testbed::Stack stack_{{.size_bytes = 256ull << 20, .media = {}}, {.root_mode = 0755}};
+  kernfs::KernFs* kfs_ = stack_.kfs();
+  fslib::FsLib* fs_ = nullptr;
 };
 
 class ScalabilityTsan : public ScalabilityBase {
@@ -244,14 +229,8 @@ TEST(ScalabilityTsanChannel, SubmitHarvestStatsDrainAllRace) {
   // own per-thread channel (submit, flush, take, shrink back) while the main
   // thread concurrently aggregates stats and drains all channels — the two
   // operations documented to run from another thread.
-  nvm::Options o;
-  o.size_bytes = 128ull << 20;
-  nvm::NvmDevice dev(o);
-  mpk::InstallDeviceHook(&dev);
-  kernfs::FormatOptions f;
-  f.root_mode = 0755;
-  kernfs::KernFs kfs(&dev, f);
-  kfs.set_kernel_crossing_ns(0);
+  testbed::Stack stack({.size_bytes = 128ull << 20, .media = {}}, {.root_mode = 0755});
+  kernfs::KernFs& kfs = *stack.kfs();
   kernfs::Process* proc = kfs.CreateProcess(kCred);
   proc->BindCurrentThread();
 

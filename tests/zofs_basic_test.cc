@@ -2,13 +2,12 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
 #include "src/fslib/fslib.h"
 #include "src/kernfs/kernfs.h"
-#include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 
 namespace {
 
@@ -17,30 +16,11 @@ using vfs::Cred;
 
 class ZofsTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    nvm::Options nopts;
-    nopts.size_bytes = 64ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(nopts);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions fopts;
-    fopts.root_mode = 0777;
-    fopts.root_uid = 1000;
-    fopts.root_gid = 1000;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), fopts);
-    kfs_->set_kernel_crossing_ns(0);  // tests don't need the cost model
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), Cred{1000, 1000});
-  }
-
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
-
   Cred cred{1000, 1000};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  testbed::Stack stack_{{.size_bytes = 64ull << 20, .media = {}},
+                        {.root_mode = 0777, .root_uid = 1000, .root_gid = 1000}};
+  kernfs::KernFs* kfs_ = stack_.kfs();
+  fslib::FsLib* fs_ = stack_.AddProcess(cred);
 };
 
 TEST_F(ZofsTest, CreateWriteReadRoundtrip) {
@@ -321,8 +301,8 @@ TEST_F(ZofsTest, PermissionDeniedForOtherUser) {
   ASSERT_TRUE(fs_->Write(*fd, "secret", 6).ok());
 
   // A second process with a different uid cannot map the 0600 coffer.
-  fslib::FsLib other(kfs_.get(), Cred{2000, 2000});
-  auto ofd = other.Open(Cred{2000, 2000}, "/private", vfs::kRead, 0);
+  fslib::FsLib* other = stack_.AddProcess(Cred{2000, 2000});
+  auto ofd = other->Open(Cred{2000, 2000}, "/private", vfs::kRead, 0);
   ASSERT_FALSE(ofd.ok());
   EXPECT_EQ(ofd.error(), Err::kAcces);
   fs_->BindThread();

@@ -9,8 +9,8 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <set>
+#include <vector>
 
 #include "src/audit/audit.h"
 #include "src/common/rand.h"
@@ -18,6 +18,7 @@
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 
 namespace {
 
@@ -25,47 +26,27 @@ using common::Err;
 
 class ZofsCrashTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    o.crash_tracking = true;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    Boot(/*format=*/true);
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
-
-  void Boot(bool format) {
-    fs_.reset();
-    kfs_.reset();
-    if (format) {
-      kernfs::FormatOptions f;
-      f.root_mode = 0755;
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    } else {
-      kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
+  // Crashes, remounts the rolled-back device (or `image`, when given) and
+  // recovers it; fsck must come out clean.
+  testbed::FsckResult CrashAndReboot(const std::vector<uint8_t>* image = nullptr) {
+    stack_.Crash();
+    if (image != nullptr) {
+      dev_->RestoreFrom(image->data(), image->size());
     }
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0});
-    dev_->MarkAllPersistent();  // mount state is durable by definition
-  }
-
-  void CrashAndReboot() {
-    dev_->SimulateCrash();
-    Boot(/*format=*/false);
-    auto stats = fs_->zofs().RecoverAll();
-    ASSERT_TRUE(stats.ok()) << common::ErrName(stats.error());
-    EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty()) << kfs_->CheckAllocTableForTest();
+    stack_.Mount();
+    kfs_ = stack_.kfs();
+    fs_ = stack_.AddProcess(cred);
+    testbed::FsckResult fsck = stack_.Fsck(fs_);
+    EXPECT_TRUE(fsck.clean()) << fsck.recovery << fsck.alloc;
+    return fsck;
   }
 
   vfs::Cred cred{0, 0};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  testbed::Stack stack_{{.size_bytes = 128ull << 20, .crash_tracking = true, .media = {}},
+                        {.root_mode = 0755}};
+  nvm::NvmDevice* dev_ = stack_.dev();
+  kernfs::KernFs* kfs_ = stack_.kfs();
+  fslib::FsLib* fs_ = stack_.AddProcess(cred);
 };
 
 TEST_F(ZofsCrashTest, CompletedWriteSurvivesCrash) {
@@ -134,13 +115,9 @@ TEST_F(ZofsCrashTest, RecoveryReclaimsAllocatorFreeLists) {
   ASSERT_TRUE(fs_->Ftruncate(*fd, 4096).ok());  // 255 data pages into free lists
 
   uint64_t free_before = kfs_->FreePages();
-  dev_->SimulateCrash();
-  Boot(false);
-  auto stats = fs_->zofs().RecoverAll();
-  ASSERT_TRUE(stats.ok());
-  EXPECT_GT(stats->pages_reclaimed, 200u);
+  testbed::FsckResult fsck = CrashAndReboot();
+  EXPECT_GT(fsck.stats.pages_reclaimed, 200u);
   EXPECT_GT(kfs_->FreePages(), free_before);
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
   // The file itself survives at its truncated size.
   auto st = fs_->Stat(cred, "/grow");
   ASSERT_TRUE(st.ok());
@@ -208,7 +185,7 @@ TEST_F(ZofsCrashTest, AuditedRecoveryHasNoOrderingViolations) {
   // device: neither the pre-crash workload, nor recovery, nor post-recovery
   // operations may trip an ordering or durability annotation.
   audit::Auditor a;
-  a.Attach(dev_.get());
+  a.Attach(dev_);
 
   ASSERT_TRUE(fs_->Mkdir(cred, "/d", 0755).ok());
   auto fd = fs_->Open(cred, "/d/f", vfs::kCreate | vfs::kRdWr, 0644);
@@ -325,34 +302,16 @@ TEST_F(ZofsCrashTest, RenameOverwriteIsCrashAtomicAtEveryEpoch) {
   dev_->StopCrashCapture();
   ASSERT_GT(journal.size(), 1u);
 
-  auto read_file = [&](const char* path, std::string* out) -> int {
-    auto fd = fs_->Open(cred, path, vfs::kRead, 0);
-    if (!fd.ok()) {
-      return fd.error() == Err::kNoEnt ? 0 : -1;
-    }
-    auto st = fs_->Fstat(*fd);
-    if (!st.ok()) {
-      return -1;
-    }
-    out->assign(st->size, 0);
-    auto r = fs_->Pread(*fd, out->data(), out->size(), 0);
-    return (r.ok() && *r == out->size()) ? 1 : -1;
-  };
-
   nvm::CrashImageBuilder builder(snapshot, &journal);
   for (int64_t e = -1; e < static_cast<int64_t>(journal.size()); e++) {
+    SCOPED_TRACE("epoch " + std::to_string(e));
     builder.AdvanceTo(e);
-    dev_->RestoreFrom(builder.image().data(), builder.image().size());
-    Boot(/*format=*/false);
-    auto stats = fs_->zofs().RecoverAll();
-    ASSERT_TRUE(stats.ok()) << "epoch " << e << ": " << common::ErrName(stats.error());
-    EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty())
-        << "epoch " << e << ": " << kfs_->CheckAllocTableForTest();
+    ASSERT_TRUE(CrashAndReboot(&builder.image()).recovery.empty());
 
     std::string dst;
-    ASSERT_EQ(read_file("/dst", &dst), 1) << "epoch " << e << ": destination lost";
+    ASSERT_EQ(testbed::ReadFile(fs_, cred, "/dst", &dst), 1) << "destination lost";
     std::string src;
-    int src_state = read_file("/src", &src);
+    int src_state = testbed::ReadFile(fs_, cred, "/src", &src);
     if (dst == new_data) {
       EXPECT_EQ(src_state, 0) << "epoch " << e << ": rename committed but source remains";
     } else {
@@ -418,13 +377,9 @@ TEST_F(ZofsCrashTest, StagedAppendIsCrashSafeAtEveryEpochAndMidEpoch) {
   dev_->StopCrashCapture();
   ASSERT_GT(journal.size(), 4u);
 
-  auto check_image = [&](int64_t e, int variant, uint64_t f) {
-    Boot(/*format=*/false);
-    auto stats = fs_->zofs().RecoverAll();
-    ASSERT_TRUE(stats.ok()) << "epoch " << e << " mid#" << variant << ": "
-                            << common::ErrName(stats.error());
-    EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty())
-        << "epoch " << e << " mid#" << variant << ": " << kfs_->CheckAllocTableForTest();
+  auto check_image = [&](const std::vector<uint8_t>& image, int64_t e, int variant, uint64_t f) {
+    SCOPED_TRACE("epoch " + std::to_string(e) + " mid#" + std::to_string(variant));
+    ASSERT_TRUE(CrashAndReboot(&image).recovery.empty());
 
     const std::string& floor = (fsync_end_fence != 0 && f >= fsync_end_fence) ? synced : base;
     auto rfd = fs_->Open(cred, "/log", vfs::kRead, 0);
@@ -447,8 +402,7 @@ TEST_F(ZofsCrashTest, StagedAppendIsCrashSafeAtEveryEpochAndMidEpoch) {
   for (int64_t e = -1; e < static_cast<int64_t>(journal.size()); e++) {
     builder.AdvanceTo(e);
     const uint64_t f = e < 0 ? 0 : journal[e].fence_seq;
-    dev_->RestoreFrom(builder.image().data(), builder.image().size());
-    check_image(e, -1, f);
+    check_image(builder.image(), e, -1, f);
     for (int k = 0; k < 2; k++) {
       std::vector<bool> pick(builder.NextEpochLineCount());
       if (pick.empty()) {
@@ -466,8 +420,7 @@ TEST_F(ZofsCrashTest, StagedAppendIsCrashSafeAtEveryEpochAndMidEpoch) {
       if (!builder.MaterializeMidEpoch(pick, &scratch)) {
         continue;
       }
-      dev_->RestoreFrom(scratch.data(), scratch.size());
-      check_image(e, k, f);
+      check_image(scratch, e, k, f);
     }
   }
 }

@@ -5,13 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <memory>
+#include <optional>
 
 #include "src/common/rand.h"
 #include "src/fslib/fslib.h"
 #include "src/kernfs/kernfs.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 
 namespace {
 
@@ -20,32 +21,27 @@ using common::Err;
 class ZofsFeatureTest : public ::testing::Test {
  protected:
   void Boot(zofs::Options zopts, bool crash_tracking = false) {
-    fs_.reset();
-    kfs_.reset();
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    o.crash_tracking = crash_tracking;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0755;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0}, zopts);
-    if (crash_tracking) {
-      dev_->MarkAllPersistent();
-    }
+    stack_.emplace(
+        nvm::Options{.size_bytes = 128ull << 20, .crash_tracking = crash_tracking, .media = {}},
+        kernfs::FormatOptions{.root_mode = 0755});
+    kfs_ = stack_->kfs();
+    fs_ = stack_->AddProcess(cred, zopts);
   }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
+  // Crashes, remounts with `zopts` and recovers; fsck must come out clean.
+  testbed::FsckResult CrashAndReboot(zofs::Options zopts) {
+    stack_->Crash();
+    stack_->Mount();
+    kfs_ = stack_->kfs();
+    fs_ = stack_->AddProcess(cred, zopts);
+    testbed::FsckResult fsck = stack_->Fsck(fs_);
+    EXPECT_TRUE(fsck.clean()) << fsck.recovery << fsck.alloc;
+    return fsck;
   }
 
   vfs::Cred cred{0, 0};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  std::optional<testbed::Stack> stack_;
+  kernfs::KernFs* kfs_ = nullptr;
+  fslib::FsLib* fs_ = nullptr;
 };
 
 // ---------------------------------------------------------------------------
@@ -167,12 +163,7 @@ TEST_F(ZofsFeatureTest, InlineFileSurvivesCrash) {
   std::string msg = "inline and durable";
   ASSERT_TRUE(fs_->Write(*fd, msg.data(), msg.size()).ok());
 
-  dev_->SimulateCrash();
-  fs_.reset();
-  kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-  kfs_->set_kernel_crossing_ns(0);
-  fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), cred, z);
-  ASSERT_TRUE(fs_->zofs().RecoverAll().ok());
+  ASSERT_TRUE(CrashAndReboot(z).clean());
 
   auto fd2 = fs_->Open(cred, "/c", vfs::kRead, 0);
   ASSERT_TRUE(fd2.ok());
@@ -225,18 +216,13 @@ TEST_F(ZofsFeatureTest, AtomicOverwriteCrashLeavesOldOrNewPerBlock) {
   auto fd = fs_->Open(cred, "/blk", vfs::kCreate | vfs::kRdWr, 0644);
   std::string old_data(4096, 'O');
   ASSERT_TRUE(fs_->Pwrite(*fd, old_data.data(), old_data.size(), 0).ok());
-  dev_->MarkAllPersistent();
+  stack_->dev()->MarkAllPersistent();
 
   std::string new_data(4096, 'W');
   ASSERT_TRUE(fs_->Pwrite(*fd, new_data.data(), new_data.size(), 0).ok());
   // Crash: everything unfenced rolls back. The overwrite completed, so new
   // data must be durable...
-  dev_->SimulateCrash();
-  fs_.reset();
-  kfs_ = std::make_unique<kernfs::KernFs>(dev_.get());
-  kfs_->set_kernel_crossing_ns(0);
-  fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), cred, z);
-  ASSERT_TRUE(fs_->zofs().RecoverAll().ok());
+  ASSERT_TRUE(CrashAndReboot(z).clean());
   auto fd2 = fs_->Open(cred, "/blk", vfs::kRead, 0);
   ASSERT_TRUE(fd2.ok());
   std::string back(4096, 0);

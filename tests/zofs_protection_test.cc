@@ -4,7 +4,7 @@
 
 #include <cstring>
 #include <functional>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/common/rand.h"
@@ -13,6 +13,7 @@
 #include "src/mpk/keyclass.h"
 #include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 
 namespace {
 
@@ -23,32 +24,21 @@ class ProtectionTest : public ::testing::Test {
   void SetUp() override { Boot(); }
   // A freshly formatted device and kernel.
   void Boot() {
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-    nvm::Options o;
-    o.size_bytes = 128ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0777;
-    f.root_uid = 1000;
-    f.root_gid = 1000;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-  }
-  void TearDown() override {
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
+    stack_.emplace(nvm::Options{.size_bytes = 128ull << 20, .media = {}},
+                   kernfs::FormatOptions{.root_mode = 0777, .root_uid = 1000, .root_gid = 1000});
+    dev_ = stack_->dev();
+    kfs_ = stack_->kfs();
   }
 
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
+  std::optional<testbed::Stack> stack_;
+  nvm::NvmDevice* dev_ = nullptr;
+  kernfs::KernFs* kfs_ = nullptr;
 };
 
 TEST_F(ProtectionTest, StrayWritesNeverLand) {
   // §6.5 test 1: application code with closed windows cannot modify any
   // coffer page, ever.
-  fslib::FsLib p1(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib& p1 = *stack_->AddProcess(vfs::Cred{1000, 1000});
   auto fd = p1.Open(vfs::Cred{1000, 1000}, "/file", vfs::kCreate | vfs::kWrite, 0666);
   ASSERT_TRUE(fd.ok());
   std::vector<uint8_t> payload(4096, 0xee);
@@ -124,7 +114,7 @@ TEST_F(ProtectionTest, CorruptionYieldsGracefulErrorNotCrash) {
   for (const Row& row : rows) {
     SCOPED_TRACE(row.name);
     Boot();
-    fslib::FsLib p(kfs_.get(), c);
+    fslib::FsLib& p = *stack_->AddProcess(c);
     auto fd = p.Open(c, "/f", vfs::kCreate | vfs::kRdWr, 0666);
     ASSERT_TRUE(fd.ok());
     ASSERT_TRUE(p.Write(*fd, "data", 4).ok());
@@ -161,8 +151,8 @@ TEST_F(ProtectionTest, CorruptionYieldsGracefulErrorNotCrash) {
 TEST_F(ProtectionTest, ManipulatedCrossCofferReferenceRejected) {
   // §3.4.3 / §6.5 test 2: a dentry in shared coffer C1 redirected at C2 must
   // fail G3 validation in the victim.
-  fslib::FsLib attacker(kfs_.get(), vfs::Cred{1000, 1000});
-  fslib::FsLib victim(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib& attacker = *stack_->AddProcess(vfs::Cred{1000, 1000});
+  fslib::FsLib& victim = *stack_->AddProcess(vfs::Cred{1000, 1000});
   vfs::Cred c{1000, 1000};
 
   auto secret = attacker.Open(c, "/c2secret", vfs::kCreate | vfs::kWrite, 0600);
@@ -208,13 +198,13 @@ TEST_F(ProtectionTest, ManipulatedCrossCofferReferenceRejected) {
 TEST_F(ProtectionTest, ReadOnlyMappingBlocksWrites) {
   // A user with read-only permission gets a read-only coffer mapping; write
   // attempts through the FS API are refused at map upgrade.
-  fslib::FsLib owner(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib& owner = *stack_->AddProcess(vfs::Cred{1000, 1000});
   vfs::Cred oc{1000, 1000};
   auto fd = owner.Open(oc, "/shared_ro", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fd.ok());
   ASSERT_TRUE(owner.Write(*fd, "readonly", 8).ok());
 
-  fslib::FsLib reader(kfs_.get(), vfs::Cred{2000, 1000});
+  fslib::FsLib& reader = *stack_->AddProcess(vfs::Cred{2000, 1000});
   vfs::Cred rc{2000, 1000};
   auto rfd = reader.Open(rc, "/shared_ro", vfs::kRead, 0);
   ASSERT_TRUE(rfd.ok()) << common::ErrName(rfd.error());
@@ -231,7 +221,7 @@ TEST_F(ProtectionTest, ReadOnlyMappingBlocksWrites) {
 TEST_F(ProtectionTest, MpkBudgetEvictionKeepsWorking) {
   // More permission groups than MPK keys: FSLibs must evict mappings and
   // keep operating (paper §3.4.2: "the µFS should call coffer_unmap").
-  fslib::FsLib p(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib& p = *stack_->AddProcess(vfs::Cred{1000, 1000});
   vfs::Cred c{1000, 1000};
   // 30 distinct permission groups => 30 coffers, against 15 keys.
   for (int i = 0; i < 30; i++) {
@@ -257,7 +247,7 @@ TEST_F(ProtectionTest, KeyWindowEvictAndFaultBackRoundTrip) {
   // session caches survive) and faults them back in on next access. The
   // round trip must be invisible to the data path: every file reads back
   // byte-exact after its class was evicted and re-keyed.
-  fslib::FsLib p(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib& p = *stack_->AddProcess(vfs::Cred{1000, 1000});
   vfs::Cred c{1000, 1000};
   const uint64_t ev0 = mpk::KeyEvictionCount();
   const uint64_t rt0 = mpk::KeyRetagPageCount();
@@ -315,7 +305,7 @@ TEST_F(ProtectionTest, CofferRootChmodMovesCachedClass) {
   for (const Case& k : cases) {
     SCOPED_TRACE(k.name);
     const std::string home = "/home" + std::to_string(n_case++);
-    fslib::FsLib p(kfs_.get(), owner);
+    fslib::FsLib& p = *stack_->AddProcess(owner);
     ASSERT_TRUE(p.Mkdir(owner, home, 0755).ok());
     // Coffer roots in class (uid 100, gid 100, 0750).
     ASSERT_TRUE(p.Mkdir(owner, home + "/a", 0750).ok());
@@ -332,12 +322,13 @@ TEST_F(ProtectionTest, CofferRootChmodMovesCachedClass) {
       ASSERT_TRUE(s.ok()) << common::ErrName(s.error());
     } else {
       const vfs::Cred cred = k.by == By::kRoot ? vfs::Cred{0, 0} : owner;
-      fslib::FsLib q(kfs_.get(), cred);
+      fslib::FsLib& q = *stack_->AddProcess(cred);
       auto s = q.Chmod(cred, home + "/a", k.mode);
       ASSERT_TRUE(s.ok()) << common::ErrName(s.error());
       auto st = q.Stat(cred, home + "/a");
       ASSERT_TRUE(st.ok()) << common::ErrName(st.error());
       EXPECT_EQ(st->mode & 0777, k.mode);
+      stack_->Exit(&q);
     }
 
     auto st = p.Stat(owner, home + "/a");
@@ -361,6 +352,7 @@ TEST_F(ProtectionTest, CofferRootChmodMovesCachedClass) {
     if (k.sibling) {
       EXPECT_TRUE(p.Stat(owner, home + "/b").ok());
     }
+    stack_->Exit(&p);
   }
 }
 
@@ -369,7 +361,7 @@ TEST_F(ProtectionTest, CreateInUnwritableDirFindsExistingNameFirst) {
   // parent: a caller that cannot write /ro still opens /ro/f with O_CREAT
   // and gets EEXIST from mkdir and O_EXCL. Only a new name is EACCES.
   const vfs::Cred root{0, 0};
-  fslib::FsLib owner(kfs_.get(), root);
+  fslib::FsLib& owner = *stack_->AddProcess(root);
   ASSERT_TRUE(owner.Mkdir(root, "/ro", 0755).ok());
   auto fd = owner.Open(root, "/ro/f", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fd.ok());
@@ -377,7 +369,7 @@ TEST_F(ProtectionTest, CreateInUnwritableDirFindsExistingNameFirst) {
   ASSERT_TRUE(owner.Close(*fd).ok());
 
   const vfs::Cred user{100, 100};
-  fslib::FsLib p(kfs_.get(), user);
+  fslib::FsLib& p = *stack_->AddProcess(user);
   auto rd = p.Open(user, "/ro/f", vfs::kCreate | vfs::kRead, 0644);
   ASSERT_TRUE(rd.ok()) << common::ErrName(rd.error());
   char buf[4] = {};
@@ -394,11 +386,11 @@ TEST_F(ProtectionTest, CreateInUnwritableDirFindsExistingNameFirst) {
 TEST_F(ProtectionTest, SetuidStyleCredChangeRevokesAccess) {
   // After a process's credentials change, a previously mapped private coffer
   // can no longer be (re)mapped by a fresh process with the new identity.
-  fslib::FsLib p(kfs_.get(), vfs::Cred{1000, 1000});
+  fslib::FsLib& p = *stack_->AddProcess(vfs::Cred{1000, 1000});
   vfs::Cred c{1000, 1000};
   ASSERT_TRUE(p.Open(c, "/mine", vfs::kCreate | vfs::kWrite, 0600).ok());
 
-  fslib::FsLib other(kfs_.get(), vfs::Cred{7777, 7777});
+  fslib::FsLib& other = *stack_->AddProcess(vfs::Cred{7777, 7777});
   auto denied = other.Open(vfs::Cred{7777, 7777}, "/mine", vfs::kRead, 0);
   EXPECT_EQ(denied.error(), Err::kAcces);
 }

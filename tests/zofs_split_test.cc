@@ -4,12 +4,10 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-
 #include "src/fslib/fslib.h"
 #include "src/kernfs/kernfs.h"
-#include "src/mpk/mpk.h"
 #include "src/nvm/nvm.h"
+#include "src/testbed/testbed.h"
 
 namespace {
 
@@ -17,31 +15,13 @@ using common::Err;
 
 class ZofsSplitTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    nvm::Options o;
-    o.size_bytes = 256ull << 20;
-    dev_ = std::make_unique<nvm::NvmDevice>(o);
-    mpk::InstallDeviceHook(dev_.get());
-    kernfs::FormatOptions f;
-    f.root_mode = 0755;
-    f.root_uid = 1000;
-    f.root_gid = 1000;
-    kfs_ = std::make_unique<kernfs::KernFs>(dev_.get(), f);
-    kfs_->set_kernel_crossing_ns(0);
-    fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{1000, 1000});
-  }
-  void TearDown() override {
-    fs_.reset();
-    kfs_.reset();
-    mpk::BindThreadToProcess(nullptr);
-  }
-
   size_t CofferCount() { return kfs_->AllCofferIds().size(); }
 
   vfs::Cred cred{1000, 1000};
-  std::unique_ptr<nvm::NvmDevice> dev_;
-  std::unique_ptr<kernfs::KernFs> kfs_;
-  std::unique_ptr<fslib::FsLib> fs_;
+  testbed::Stack stack_{{.size_bytes = 256ull << 20, .media = {}},
+                        {.root_mode = 0755, .root_uid = 1000, .root_gid = 1000}};
+  kernfs::KernFs* kfs_ = stack_.kfs();
+  fslib::FsLib* fs_ = stack_.AddProcess(cred);
 };
 
 TEST_F(ZofsSplitTest, ChmodDirectorySplitsWholeSubtree) {
@@ -207,7 +187,7 @@ TEST_F(ZofsSplitTest, SplitFileRemainsWritableAndGrowable) {
 
 TEST_F(ZofsSplitTest, ChownToNewOwnerSplits) {
   // Run as root so chown is permitted.
-  fs_ = std::make_unique<fslib::FsLib>(kfs_.get(), vfs::Cred{0, 0});
+  fs_ = stack_.AddProcess(vfs::Cred{0, 0});
   vfs::Cred root{0, 0};
   auto fd = fs_->Open(root, "/owned", vfs::kCreate | vfs::kWrite, 0644);
   ASSERT_TRUE(fd.ok());
