@@ -3,9 +3,14 @@
 //
 // Operations mirror db_bench: write sync / write seq / write rand /
 // overwrite / read seq / read rand / read hot / delete rand, with LevelDB's
-// default record shape (16-byte keys, 100-byte values).
+// default record shape (16-byte keys, 100-byte values). Every write must
+// succeed and every read must return the value written, or the run aborts.
+//
+// Knob: ZR_TABLE7_N (default 50,000 ops per row). At 10,000 or fewer the
+// 4 MB memtable never flushes, so the reads never reach a table.
 
 #include <cstdio>
+#include <cstdlib>
 #include <vector>
 
 #include "src/apps/kvstore/kvstore.h"
@@ -23,6 +28,14 @@ std::string Key(uint64_t i) {
   char buf[32];
   snprintf(buf, sizeof(buf), "%016lu", (unsigned long)i);
   return buf;
+}
+
+void CheckGet(kvstore::Db* db, const std::string& key, const std::string& want) {
+  auto got = db->Get(key);
+  if (!got.ok() || *got != want) {
+    std::fprintf(stderr, "table7: Get(%s) did not return the value written\n", key.c_str());
+    std::abort();
+  }
 }
 
 struct Latencies {
@@ -43,57 +56,70 @@ Latencies RunDbBench(FsKind kind, uint64_t n) {
   // system happens to run first).
   {
     auto db = kvstore::Db::Open(fs, "/dbwarm");
+    CHECK_OK(db);
     for (uint64_t i = 0; i < n / 4; i++) {
-      (*db)->Put(Key(i), value);
-      (*db)->Get(Key(i / 2));
+      CHECK_OK((*db)->Put(Key(i), value));
+      CheckGet(db->get(), Key(i / 2), value);
     }
   }
 
   // write sync: a fresh DB with fsync-per-write, fewer ops (as db_bench).
   {
     auto db = kvstore::Db::Open(fs, "/dbsync", kvstore::DbOptions{.sync_writes = true});
+    CHECK_OK(db);
     const uint64_t ops = n / 10;
     sw.Restart();
     for (uint64_t i = 0; i < ops; i++) {
-      (*db)->Put(Key(i), value);
+      CHECK_OK((*db)->Put(Key(i), value));
     }
     lat.write_sync = static_cast<double>(sw.ElapsedNs()) / ops;
   }
 
   auto db_res = kvstore::Db::Open(fs, "/db");
+  CHECK_OK(db_res);
   auto& db = *db_res;
 
   sw.Restart();
   for (uint64_t i = 0; i < n; i++) {
-    db->Put(Key(i), value);
+    CHECK_OK(db->Put(Key(i), value));
   }
   lat.write_seq = static_cast<double>(sw.ElapsedNs()) / n;
 
   sw.Restart();
   for (uint64_t i = 0; i < n; i++) {
-    db->Put(Key(rng.Below(n)), value);
+    CHECK_OK(db->Put(Key(rng.Below(n)), value));
   }
   lat.write_rand = static_cast<double>(sw.ElapsedNs()) / n;
 
   sw.Restart();
   for (uint64_t i = 0; i < n; i++) {
-    db->Put(Key(i), value);
+    CHECK_OK(db->Put(Key(i), value));
   }
   lat.overwrite = static_cast<double>(sw.ElapsedNs()) / n;
 
   {
     sw.Restart();
     auto iter = db->NewIterator();
+    CHECK_OK(iter);
     uint64_t cnt = 0;
     for (; iter->Valid(); iter->Next()) {
+      if (iter->value() != value) {
+        std::fprintf(stderr, "table7: the scan returned a wrong value\n");
+        std::abort();
+      }
       cnt++;
+    }
+    if (cnt != n) {
+      std::fprintf(stderr, "table7: the scan returned %lu of %lu keys\n", (unsigned long)cnt,
+                   (unsigned long)n);
+      std::abort();
     }
     lat.read_seq = cnt ? static_cast<double>(sw.ElapsedNs()) / cnt : 0;
   }
 
   sw.Restart();
   for (uint64_t i = 0; i < n; i++) {
-    db->Get(Key(rng.Below(n)));
+    CheckGet(db.get(), Key(rng.Below(n)), value);
   }
   lat.read_rand = static_cast<double>(sw.ElapsedNs()) / n;
 
@@ -101,13 +127,13 @@ Latencies RunDbBench(FsKind kind, uint64_t n) {
   const uint64_t hot = std::max<uint64_t>(1, n / 100);
   sw.Restart();
   for (uint64_t i = 0; i < n; i++) {
-    db->Get(Key(rng.Below(hot)));
+    CheckGet(db.get(), Key(rng.Below(hot)), value);
   }
   lat.read_hot = static_cast<double>(sw.ElapsedNs()) / n;
 
   sw.Restart();
   for (uint64_t i = 0; i < n; i++) {
-    db->Delete(Key(rng.Below(n)));
+    CHECK_OK(db->Delete(Key(rng.Below(n))));
   }
   lat.delete_rand = static_cast<double>(sw.ElapsedNs()) / n;
   return lat;

@@ -7,15 +7,19 @@
 //
 // Structure: write-ahead log + in-memory memtable + sorted string tables
 // (single level, merged when too many accumulate), each with a sparse
-// in-memory index.
+// in-memory index. A Get reads one index block of a table with one Pread;
+// scans read a fixed-size chunk per Pread; a flush and a compaction stream
+// sorted records into one table writer.
 
 #ifndef SRC_APPS_KVSTORE_KVSTORE_H_
 #define SRC_APPS_KVSTORE_KVSTORE_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/common/mutex.h"
@@ -27,6 +31,16 @@ namespace kvstore {
 using common::Err;
 using common::Result;
 using common::Status;
+
+// One WAL or table record, decoded in place: the views point into the
+// buffer or the memtable entry that yielded it.
+struct Record {
+  std::string_view key;
+  std::optional<std::string_view> value;  // nullopt = tombstone
+};
+// Yields records in key order, then nullopt. A record stays valid until the
+// next call.
+using RecordSource = std::function<Result<std::optional<Record>>()>;
 
 struct DbOptions {
   bool sync_writes = false;          // fsync the WAL on every write
@@ -78,23 +92,25 @@ class Db {
     vfs::Fd fd = -1;
     uint64_t seq = 0;                // newer tables shadow older ones
     std::vector<TableEntry> index;   // sparse, sorted
-    uint64_t file_size = 0;
+    uint64_t size = 0;               // bytes of whole records; a cut tail is left out
   };
 
   Db(vfs::FileSystem* fs, std::string dir, DbOptions opts) : fs_(fs), dir_(std::move(dir)), opts_(opts) {}
 
   Status Replay() REQUIRES(mu_);  // rebuild the memtable from the WAL at open
-  Status WriteWal(const std::string& key, const std::string& value, bool tombstone)
-      REQUIRES(mu_);
+  // Logs `r` to the WAL, applies it to the memtable and flushes when full.
+  Status Write(const Record& r) REQUIRES(mu_);
+  void Apply(const Record& r) REQUIRES(mu_);  // to the memtable only
   Status FlushMemtable() REQUIRES(mu_);
   Status Compact() REQUIRES(mu_);
-  Result<std::unique_ptr<Table>> WriteTable(
-      const std::vector<std::pair<std::string, std::optional<std::string>>>& entries,
-      uint64_t seq);
+  // Writes the records `next` yields into a new table `seq`.
+  Result<std::unique_ptr<Table>> WriteTable(uint64_t seq, const RecordSource& next);
   Result<std::unique_ptr<Table>> LoadTable(const std::string& path, uint64_t seq);
-  // Searches one table; outer optional = found, inner = tombstone or value.
-  Result<std::optional<std::optional<std::string>>> SearchTable(Table& t,
-                                                                const std::string& key)
+  // One sequential source per table, oldest first.
+  std::vector<RecordSource> TableSources();
+  // Reads the index block that may hold `key` and returns its record, if
+  // any (a tombstone included); the views point into block_.
+  Result<std::optional<Record>> SearchTable(const Table& t, const std::string& key)
       REQUIRES(mu_);
 
   vfs::FileSystem* fs_;
@@ -105,13 +121,13 @@ class Db {
   common::Mutex mu_;
   // wal_fd_ and tables_ are set up during single-threaded Open and read by
   // the destructor and table_count() without the lock, so they stay outside
-  // the mu_ domain; the mutable memtable/WAL cursors are guarded.
+  // the mu_ domain; the memtable and the Get buffer are guarded.
   vfs::Fd wal_fd_ = -1;
-  uint64_t wal_bytes_ GUARDED_BY(mu_) = 0;
   uint64_t next_seq_ GUARDED_BY(mu_) = 1;
-  // nullopt value = tombstone.
-  std::map<std::string, std::optional<std::string>> memtable_ GUARDED_BY(mu_);
+  // nullopt value = tombstone. std::less<> looks keys up without a copy.
+  std::map<std::string, std::optional<std::string>, std::less<>> memtable_ GUARDED_BY(mu_);
   size_t memtable_bytes_ GUARDED_BY(mu_) = 0;
+  std::string block_ GUARDED_BY(mu_);  // the index block a Get read last
   std::vector<std::unique_ptr<Table>> tables_;  // sorted by seq ascending
 };
 

@@ -93,8 +93,7 @@ Result<uint32_t> CofferAllocator::AcquireList(nvm::FlushSet* flush) {
       // renewal stuck, so another process could steal a live list). The
       // write-back coalesces into the epoch's flush set when one is open.
       if (l->lease_expiry_ns < now + lease_ns_ / 2) {
-        uint64_t loff =
-            pool_off_ + offsetof(AllocPool, lists) + it->second * sizeof(LeasedFreeList);
+        const uint64_t loff = ListOff(pool_off_, it->second);
         dev->Store64(loff + offsetof(LeasedFreeList, lease_expiry_ns), now + lease_ns_);
         if (flush != nullptr) {
           flush->Note(dev, loff, sizeof(LeasedFreeList));
@@ -110,7 +109,7 @@ Result<uint32_t> CofferAllocator::AcquireList(nvm::FlushSet* flush) {
   // Slow path: claim an unowned list, or take over one whose lease is dead
   // (an implausibly far expiry is corrupt and taken over too).
   for (uint32_t i = 0; i < kPoolLists; i++) {
-    const uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + i * sizeof(LeasedFreeList);
+    const uint64_t loff = ListOff(pool_off_, i);
     const uint64_t owner_off = loff + offsetof(LeasedFreeList, owner_tid);
     const uint64_t expiry_off = loff + offsetof(LeasedFreeList, lease_expiry_ns);
     const uint64_t owner = dev->AtomicLoad64(owner_off);
@@ -156,12 +155,44 @@ Result<std::vector<kernfs::PageRun>> CofferAllocator::RefillRuns() {
   return kfs_->CofferEnlarge(*proc_, coffer_id_, enlarge_batch_);
 }
 
+uint32_t CofferAllocator::AdoptParkedList(uint32_t own) {
+  nvm::NvmDevice* dev = kfs_->dev();
+  const uint64_t tid = CurrentTid();
+  const uint64_t now = common::NowNs();
+  for (uint32_t i = 0; i < kPoolLists; i++) {
+    const uint64_t loff = ListOff(pool_off_, i);
+    const uint64_t owner_off = loff + offsetof(LeasedFreeList, owner_tid);
+    const uint64_t expiry_off = loff + offsetof(LeasedFreeList, lease_expiry_ns);
+    const uint64_t owner = dev->AtomicLoad64(owner_off);
+    // A live holder's list is skipped before its head is read: the holder
+    // writes the head with plain stores.
+    if (i == own || (owner != 0 && !LeaseDead(dev->AtomicLoad64(expiry_off), now)) ||
+        dev->AtomicLoad64(loff + offsetof(LeasedFreeList, head)) == 0) {
+      continue;
+    }
+    if (TryClaimLease(dev, owner_off, expiry_off, owner, tid, lease_ns_) == Claim::kNone) {
+      continue;
+    }
+    const uint64_t own_off = ListOff(pool_off_, own);
+    dev->AtomicCas64(own_off + offsetof(LeasedFreeList, owner_tid), tid, 0);
+    dev->PersistRange(own_off, sizeof(LeasedFreeList));
+    dev->PersistRange(loff, sizeof(LeasedFreeList));
+    t_my_list[pool_off_] = i;
+    return i;
+  }
+  return own;
+}
+
 Result<uint64_t> CofferAllocator::AllocPageImpl(bool zero, nvm::FlushSet* flush) {
   nvm::NvmDevice* dev = kfs_->dev();
-  ASSIGN_OR_RETURN(idx, AcquireList(flush));
+  ASSIGN_OR_RETURN(own, AcquireList(flush));
   AllocPool* p = pool();
+  uint32_t idx = own;
+  if (p->lists[idx].head == 0) {
+    idx = AdoptParkedList(own);
+  }
   LeasedFreeList* l = &p->lists[idx];
-  const uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + idx * sizeof(LeasedFreeList);
+  const uint64_t loff = ListOff(pool_off_, idx);
 
   if (l->head == 0) {
     // Refill in batch from the kernel (coffer_enlarge, Table 5). Free-list
@@ -238,7 +269,7 @@ Status CofferAllocator::FreePage(uint64_t page_off) {
   ASSIGN_OR_RETURN(idx, AcquireList(/*flush=*/nullptr));
   AllocPool* p = pool();
   LeasedFreeList* l = &p->lists[idx];
-  const uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + idx * sizeof(LeasedFreeList);
+  const uint64_t loff = ListOff(pool_off_, idx);
   PushLocked(l, loff, page_off);
   return common::OkStatus();
 }
@@ -247,7 +278,7 @@ Status CofferAllocator::Donate(const std::vector<kernfs::PageRun>& runs) {
   ASSIGN_OR_RETURN(idx, AcquireList(/*flush=*/nullptr));
   AllocPool* p = pool();
   LeasedFreeList* l = &p->lists[idx];
-  const uint64_t loff = pool_off_ + offsetof(AllocPool, lists) + idx * sizeof(LeasedFreeList);
+  const uint64_t loff = ListOff(pool_off_, idx);
   for (const kernfs::PageRun& r : runs) {
     for (uint64_t pg = r.start_page; pg < r.start_page + r.len; pg++) {
       PushLocked(l, loff, pg * nvm::kPageSize);

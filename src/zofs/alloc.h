@@ -15,6 +15,7 @@
 #ifndef SRC_ZOFS_ALLOC_H_
 #define SRC_ZOFS_ALLOC_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "src/common/result.h"
@@ -31,6 +32,11 @@ using common::Status;
 
 // Process-wide unique id of the calling thread; never 0.
 uint64_t CurrentTid();
+
+// Device offset of list `i` of the pool at `pool_off`.
+inline uint64_t ListOff(uint64_t pool_off, uint32_t i) {
+  return pool_off + offsetof(AllocPool, lists) + i * sizeof(LeasedFreeList);
+}
 
 // Makes CurrentTid() report `tid` on this thread while in scope (nested
 // scopes restore the previous override). The procmon soak drives several
@@ -101,6 +107,11 @@ class CofferAllocator {
   // claiming or stealing one if needed. A lease renewal on the fast path is
   // persisted — coalesced into `flush` when non-null, eagerly otherwise.
   Result<uint32_t> AcquireList(nvm::FlushSet* flush);
+  // Before the list `own` (empty) is refilled from the kernel: takes over
+  // the first other list that holds pages under a dead lease or no owner
+  // (a set-up thread's, an idle thread's, a reaped process's) and releases
+  // `own`. Returns the list the thread now holds.
+  uint32_t AdoptParkedList(uint32_t own);
   // Obtains a refill batch from the kernel: harvests a prefetched async
   // grant, else enlarges through the channel (draining anything queued in
   // the same crossing), else falls back to the synchronous entry point.

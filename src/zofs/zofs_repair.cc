@@ -389,8 +389,7 @@ Status ZoFs::ReclaimExpiredLists(uint32_t cid) {
     // so the next claimant (CAS 0 -> tid) inherits them instead of each
     // survivor paying the steal path. Racing a concurrent claim is fine —
     // the CAS simply fails and that claimant keeps the list.
-    const uint64_t loff =
-        info.custom_off + offsetof(AllocPool, lists) + i * sizeof(LeasedFreeList);
+    const uint64_t loff = ListOff(info.custom_off, i);
     if (dev->AtomicCas64(loff + offsetof(LeasedFreeList, owner_tid), owner, 0)) {
       dev->PersistRange(loff, sizeof(LeasedFreeList));
       reclaimed++;

@@ -152,6 +152,37 @@ TEST_F(AllocTest, FreshListClaimIsNotStealableInsideItsClaimWindow) {
   EXPECT_EQ(dev_->Load64(list0 + offsetof(zofs::LeasedFreeList, owner_tid)), 101u);
 }
 
+TEST_F(AllocTest, DrainedListAdoptsDeadListBeforeEnlarging) {
+  // Thread A parks 64 pages on its list and goes idle; thread B holds a list
+  // of its own. Once A's lease lapses, B's allocations must take A's parked
+  // pages over instead of growing the coffer from the kernel.
+  common::ScopedClockPin pin(1'000'000'000);
+  const uint64_t lease = 1'000'000;
+  auto alloc = NewAlloc(lease, 16);
+  mpk::AccessWindow w(info_.key, true);
+  {
+    zofs::ScopedTidOverride a(101);
+    std::vector<uint64_t> pages;
+    for (int i = 0; i < 64; i++) {
+      auto p = alloc->AllocPage(false);
+      ASSERT_TRUE(p.ok());
+      pages.push_back(*p);
+    }
+    for (uint64_t p : pages) {
+      ASSERT_TRUE(alloc->FreePage(p).ok());
+    }
+  }
+  common::AdvanceNowNsForTest(lease / 2);
+  zofs::ScopedTidOverride b(202);
+  ASSERT_TRUE(alloc->AllocPage(false).ok());  // claims B's list and fills it
+  const uint64_t kernel_free = kfs_->FreePages();
+  common::AdvanceNowNsForTest(lease / 2 + 1);  // A's lease is dead, B's is not
+  for (int i = 0; i < 64; i++) {
+    ASSERT_TRUE(alloc->AllocPage(false).ok());
+  }
+  EXPECT_EQ(kfs_->FreePages(), kernel_free) << "B enlarged the coffer past A's parked pages";
+}
+
 TEST_F(AllocTest, DonateParksPagesOnFreeList) {
   auto alloc = NewAlloc();
   mpk::AccessWindow w(info_.key, true);

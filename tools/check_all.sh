@@ -6,8 +6,9 @@
 # deterministic pmem_audit replay of the Figure-8 workload (DWOL), the
 # metadata fault-injection campaign (deterministic across thread counts, plus
 # a bounded sanitized run), a smoke run of every repository-benchmark
-# workload, and a TSan build running the threaded scalability stress. Prints a
-# per-gate summary table and exits nonzero on any finding.
+# workload, the Table 7 kvstore benchmark with every op checked, and a TSan
+# build running the threaded scalability stress. Prints a per-gate summary
+# table and exits nonzero on any finding.
 #
 #   tools/check_all.sh [build-dir]
 set -euo pipefail
@@ -221,6 +222,17 @@ if CARGO_TARGET_DIR="$BUILD_DIR-bench" python3 perfbench/smoke_test.py; then
   gate "perfbench-smoke" PASS
 else
   gate "perfbench-smoke" FAIL
+fi
+
+step "table7-smoke: bench_table7_leveldb at its default size"
+# bench_table7_leveldb aborts on a failed write or a Get that does not return
+# the value written. At the default 50,000 ops per row the memtable flushes,
+# so the reads go through sorted tables on all four file systems.
+cmake --build "$BUILD_DIR" -j --target bench_table7_leveldb
+if env -u ZR_TABLE7_N "$BUILD_DIR"/bench/bench_table7_leveldb >/dev/null; then
+  gate "table7-smoke" PASS
+else
+  gate "table7-smoke" FAIL
 fi
 
 step "TSan build + threaded scalability stress ($TSAN_DIR)"
