@@ -36,8 +36,6 @@ class Pager {
   ~Pager();
 
   // Page numbers are 1-based; page 1 is reserved for the application header.
-  uint32_t page_count() const { return page_count_; }
-
   // Returns a cached copy of page `no` (pins it in the cache).
   Result<uint8_t*> GetPage(uint32_t no);
   // Marks a page dirty inside the current transaction, journalling its

@@ -649,6 +649,4 @@ void InstallEnvHook() {
   }
 }
 
-Auditor* EnvAuditor() { return g_env_auditor; }
-
 }  // namespace audit

@@ -259,8 +259,6 @@ bool EnvEnabled();
 // to every new device when ZOFS_AUDIT=1; also arranges an atexit report +
 // nonzero exit on errors. Ran once from a static initializer in audit.cc.
 void InstallEnvHook();
-// The env auditor (created on first audited device), or nullptr.
-Auditor* EnvAuditor();
 
 #define AUDIT_SITE_TAG(tag_name)                                        \
   static const ::audit::SiteTag tag_name { nullptr, __FILE__, __LINE__ }

@@ -33,11 +33,6 @@ void GlobalPageAlloc::Free(uint64_t page_off) {
   free_.push_back(page_off);
 }
 
-uint64_t GlobalPageAlloc::free_pages() const {
-  common::MutexLock lk(&mu_);
-  return free_.size();
-}
-
 PerCoreAlloc::PerCoreAlloc(uint64_t first_page, uint64_t n_pages, int lanes) {
   lanes_.reserve(lanes);
   uint64_t per = n_pages / lanes;

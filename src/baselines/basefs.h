@@ -41,10 +41,9 @@ class GlobalPageAlloc {
   GlobalPageAlloc(uint64_t first_page, uint64_t n_pages);
   Result<uint64_t> Alloc();  // returns byte offset
   void Free(uint64_t page_off);
-  uint64_t free_pages() const;
 
  private:
-  mutable common::Mutex mu_;
+  common::Mutex mu_;
   std::vector<uint64_t> free_ GUARDED_BY(mu_);  // byte offsets
 };
 

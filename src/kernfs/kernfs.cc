@@ -43,7 +43,6 @@ namespace {
 // Each crossing counts as exactly one of foreground or background.
 enum CrossingKind : size_t { kFgCrossing, kBgCrossing };
 common::StripedCounters<2> g_crossings;
-thread_local uint64_t t_thread_crossings = 0;
 thread_local int t_bg_depth = 0;
 // Non-reentrance audit: >0 while a KernelEntry is alive on this thread.
 thread_local int t_kernel_depth = 0;
@@ -64,8 +63,6 @@ uint64_t CrossingCount() { return ForegroundCrossingCount() + BackgroundCrossing
 uint64_t ForegroundCrossingCount() { return g_crossings.Sum(kFgCrossing); }
 
 uint64_t BackgroundCrossingCount() { return g_crossings.Sum(kBgCrossing); }
-
-uint64_t ThreadCrossingCount() { return t_thread_crossings; }
 
 namespace {
 // Reaper accounting (process-wide, delta-sampled by bench_json).
@@ -91,7 +88,6 @@ KernelEntry::KernelEntry(uint64_t crossing_ns)
   }
   t_kernel_depth++;
   g_crossings.Add(t_bg_depth > 0 ? kBgCrossing : kFgCrossing, 1);
-  t_thread_crossings++;
   // The kernel is not subject to the user PKRU / user page-key bits.
   mpk::BindThreadToProcess(nullptr);
   common::SpinNs(crossing_ns);

@@ -504,10 +504,6 @@ uint64_t BackgroundCrossingCount();
 uint64_t ReapedMappingCount();
 uint64_t ReapedGrantPageCount();
 
-// Crossings charged by the calling thread since it first crossed (a
-// per-thread counter; per-channel counts live in kernfs::Channel).
-uint64_t ThreadCrossingCount();
-
 // RAII: while alive on this thread, every KernelEntry is attributed to the
 // background counter instead of the foreground one. Nestable.
 class BackgroundCrossingScope {

@@ -861,12 +861,4 @@ Result<ufs::RecoveryStats> LogFs::RecoverAll() {
   return st;
 }
 
-uint64_t LogFs::LiveDataPages() const {
-  uint64_t n = 0;
-  for (const auto& [id, node] : nodes_) {
-    n += node.blocks.size();
-  }
-  return n;
-}
-
 }  // namespace logfs

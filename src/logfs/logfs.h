@@ -190,7 +190,6 @@ class LogFs final : public ufs::MicroFs {
   Result<ufs::NodeRef> CreateNode(const std::string& path, vfs::FileType type, uint16_t mode,
                                   bool excl, std::string_view symlink_target = {}) EXCLUDES(mu_);
   VNode* Get(uint64_t id) REQUIRES(mu_);
-  uint64_t LiveDataPages() const REQUIRES(mu_);
 
   kernfs::KernFs* kfs_;
   kernfs::Process* proc_;

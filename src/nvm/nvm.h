@@ -186,7 +186,6 @@ class NvmDevice {
   // so the journal is deterministic for a deterministic workload.
   void StartCrashCapture();
   void StopCrashCapture();
-  bool crash_capture() const { return crash_capture_; }
   const std::vector<CrashEpoch>& crash_journal() const { return crash_journal_; }
 
   // Full-image copy out / in. RestoreFrom bypasses the access hook and the
@@ -266,11 +265,10 @@ class NvmDevice {
 
   mutable common::Mutex track_mu_;
   std::unordered_map<uint64_t, LineState> dirty_lines_ GUARDED_BY(track_mu_);
-  // `crash_capture_` / `crash_journal_` mutate under track_mu_ but are read
-  // unlocked through the const accessors once capture has stopped (the
-  // journal is consumed single-threaded by crashmon), so they carry no
-  // GUARDED_BY.
-  bool crash_capture_ = false;
+  bool crash_capture_ GUARDED_BY(track_mu_) = false;
+  // Mutates under track_mu_ but is read unlocked through the const accessor
+  // once capture has stopped (the journal is consumed single-threaded by
+  // crashmon), so it carries no GUARDED_BY.
   std::vector<CrashEpoch> crash_journal_;
 
   enum Counter : size_t { kClwbs, kSfences, kBytesWritten, kNumCounters };
@@ -295,7 +293,6 @@ class CrashImageBuilder {
   // Advances the working image to the state persistent immediately after
   // journal epoch `epoch_idx` (-1 = the bare snapshot). Monotonic.
   void AdvanceTo(int64_t epoch_idx);
-  int64_t epoch_idx() const { return epoch_idx_; }
 
   // The working image: the on-media state for a crash strictly between fence
   // `epoch_idx` and the next fence, with no further evictions.

@@ -848,53 +848,71 @@ Result<NodeRef> ZoFs::Lookup(const std::string& path, bool follow_last_symlink) 
 // ---------------------------------------------------------------------------
 // Directory internals
 
-Result<Dentry*> ZoFs::DirFind(uint32_t cid, Inode* dir, std::string_view name) {
+template <typename Visit>
+Status ZoFs::WalkDirLive(uint32_t cid, const Inode* dir, std::optional<uint32_t> hash,
+                         Visit&& visit) {
   if (dir->l1_dir == 0) {
-    return Err::kNoEnt;
+    return common::OkStatus();
   }
-  nvm::NvmDevice* dev = kfs_->dev();
   if (!ValidMetaPage(dir->l1_dir)) {
     return Sick(cid);
   }
-  const uint32_t h = common::Fnv1a32(name);
+  nvm::NvmDevice* dev = kfs_->dev();
   const uint64_t* l1 = dev->As<uint64_t>(dir->l1_dir);
-  uint64_t l2_off = l1[h % kL1Slots];
-  if (l2_off == 0) {
-    return Err::kNoEnt;
-  }
-  if (!ValidMetaPage(l2_off)) {
-    return Sick(cid);
-  }
-  L2Page* l2 = dev->As<L2Page>(l2_off);
-  mpk::CheckAccess(l2_off, sizeof(L2Page), false);
-  auto matches = [&](Dentry& d) {
-    return d.in_use() && d.name_hash == h && d.name_len == name.size() &&
-           memcmp(d.name, name.data(), name.size()) == 0;
-  };
-  for (Dentry& d : l2->embedded) {
-    if (matches(d)) {
-      return &d;
+  const uint64_t first_slot = hash ? *hash % kL1Slots : 0;
+  const uint64_t end_slot = hash ? first_slot + 1 : kL1Slots;
+  const uint64_t first_bucket = hash ? *hash / kL1Slots % kL2Buckets : 0;
+  const uint64_t end_bucket = hash ? first_bucket + 1 : kL2Buckets;
+  // No chain arrangement over a healthy device needs more run pages than
+  // the device holds: a walk past that is in a cycle. The bound applies
+  // even in raw_deref_for_test mode, so corrupted chains can crash the walk
+  // but never hang it.
+  uint64_t budget = dev->num_pages();
+  for (uint64_t s = first_slot; s < end_slot; s++) {
+    const uint64_t l2_off = l1[s];
+    if (l2_off == 0) {
+      continue;
     }
-  }
-  uint64_t run_off = l2->buckets[(h / kL1Slots) % kL2Buckets];
-  // A legal chain cannot have more pages than the device: anything longer is
-  // a cycle. The bound applies even in raw_deref_for_test mode, so corrupted
-  // chains can crash the walk but never hang it.
-  const uint64_t max_steps = dev->num_pages();
-  for (uint64_t steps = 0; run_off != 0; steps++) {
-    if (steps >= max_steps || !ValidMetaPage(run_off)) {
+    if (!ValidMetaPage(l2_off)) {
       return Sick(cid);
     }
-    DentryRun* run = dev->As<DentryRun>(run_off);
-    mpk::CheckAccess(run_off, sizeof(DentryRun), false);
-    for (Dentry& d : run->dentries) {
-      if (matches(d)) {
-        return &d;
+    mpk::CheckAccess(l2_off, sizeof(L2Page), false);
+    L2Page* l2 = dev->As<L2Page>(l2_off);
+    if (!visit(DirPage{l2_off, false, l2->embedded})) {
+      return common::OkStatus();
+    }
+    for (uint64_t b = first_bucket; b < end_bucket; b++) {
+      for (uint64_t run_off = l2->buckets[b]; run_off != 0;) {
+        if (budget-- == 0 || !ValidMetaPage(run_off)) {
+          return Sick(cid);
+        }
+        mpk::CheckAccess(run_off, sizeof(DentryRun), false);
+        DentryRun* run = dev->As<DentryRun>(run_off);
+        const uint64_t next = run->next;  // before a visitor's FreePage overwrites it
+        if (!visit(DirPage{run_off, true, run->dentries})) {
+          return common::OkStatus();
+        }
+        run_off = next;
       }
     }
-    run_off = run->next;
   }
-  return Err::kNoEnt;
+  return common::OkStatus();
+}
+
+Result<Dentry*> ZoFs::DirFind(uint32_t cid, Inode* dir, std::string_view name) {
+  const uint32_t h = common::Fnv1a32(name);
+  Dentry* hit = nullptr;
+  RETURN_IF_ERROR(WalkDirLive(cid, dir, h, [&](const DirPage& p) {
+    for (Dentry& d : p.dentries) {
+      if (d.in_use() && d.name_hash == h && d.name_len == name.size() &&
+          memcmp(d.name, name.data(), name.size()) == 0) {
+        hit = &d;
+        return false;
+      }
+    }
+    return true;
+  }));
+  return hit != nullptr ? Result<Dentry*>(hit) : Err::kNoEnt;
 }
 
 Status ZoFs::DirInsert(uint32_t cid, const MapInfo& info, Inode* dir, std::string_view name,
@@ -1036,242 +1054,119 @@ Status ZoFs::DirReplaceTarget(Inode* dir, Dentry* d, uint32_t child_coffer, uint
 }
 
 Status ZoFs::DirIterate(uint32_t cid, const Inode* dir, std::vector<vfs::DirEntry>* out) {
-  if (dir->l1_dir == 0) {
-    return common::OkStatus();
-  }
-  nvm::NvmDevice* dev = kfs_->dev();
-  if (!ValidMetaPage(dir->l1_dir)) {
-    return Sick(cid);
-  }
-  const uint64_t* l1 = dev->As<uint64_t>(dir->l1_dir);
-  // One step budget for the whole directory: no chain arrangement over a
-  // healthy device needs more pages than the device holds.
-  const uint64_t max_steps = dev->num_pages();
-  uint64_t steps = 0;
-  for (uint64_t s = 0; s < kL1Slots; s++) {
-    if (l1[s] == 0) {
-      continue;
-    }
-    if (!ValidMetaPage(l1[s])) {
-      return Sick(cid);
-    }
-    const L2Page* l2 = dev->As<L2Page>(l1[s]);
-    mpk::CheckAccess(l1[s], sizeof(L2Page), false);
-    bool bad_name = false;
-    auto emit = [&](const Dentry& d) {
+  bool bad_name = false;
+  RETURN_IF_ERROR(WalkDirLive(cid, dir, std::nullopt, [&](const DirPage& p) {
+    for (const Dentry& d : p.dentries) {
+      if (!d.in_use()) {
+        continue;
+      }
       if (d.name_len > kMaxName) {
         bad_name = true;  // corrupt length would read past the dentry
-        return;
+        return false;
       }
       vfs::DirEntry e;
       e.name.assign(d.name, d.name_len);
       e.ino = d.inode_off / nvm::kPageSize;
       e.type = VfsType(d.cached_type());
       out->push_back(std::move(e));
-    };
-    for (const Dentry& d : l2->embedded) {
-      if (d.in_use()) {
-        emit(d);
-      }
     }
-    for (uint64_t b = 0; b < kL2Buckets && !bad_name; b++) {
-      uint64_t run_off = l2->buckets[b];
-      for (; run_off != 0; steps++) {
-        if (steps >= max_steps || !ValidMetaPage(run_off)) {
-          return Sick(cid);
-        }
-        const DentryRun* run = dev->As<DentryRun>(run_off);
-        mpk::CheckAccess(run_off, sizeof(DentryRun), false);
-        for (const Dentry& d : run->dentries) {
-          if (d.in_use()) {
-            emit(d);
-          }
-        }
-        run_off = run->next;
-      }
-    }
-    if (bad_name) {
-      return Sick(cid);
-    }
-  }
-  return common::OkStatus();
+    return true;
+  }));
+  return bad_name ? Status(Sick(cid)) : common::OkStatus();
 }
 
 Result<bool> ZoFs::DirIsEmpty(uint32_t cid, const Inode* dir) {
-  if (dir->l1_dir == 0) {
-    return true;
-  }
-  nvm::NvmDevice* dev = kfs_->dev();
-  if (!ValidMetaPage(dir->l1_dir)) {
-    return Sick(cid);
-  }
-  const uint64_t* l1 = dev->As<uint64_t>(dir->l1_dir);
-  const uint64_t max_steps = dev->num_pages();
-  uint64_t steps = 0;
-  for (uint64_t s = 0; s < kL1Slots; s++) {
-    if (l1[s] == 0) {
-      continue;
-    }
-    if (!ValidMetaPage(l1[s])) {
-      return Sick(cid);
-    }
-    const L2Page* l2 = dev->As<L2Page>(l1[s]);
-    mpk::CheckAccess(l1[s], sizeof(L2Page), false);
-    for (const Dentry& d : l2->embedded) {
-      if (d.in_use()) {
-        return false;
-      }
-    }
-    for (uint64_t b = 0; b < kL2Buckets; b++) {
-      uint64_t run_off = l2->buckets[b];
-      for (; run_off != 0; steps++) {
-        if (steps >= max_steps || !ValidMetaPage(run_off)) {
-          return Sick(cid);
-        }
-        const DentryRun* run = dev->As<DentryRun>(run_off);
-        mpk::CheckAccess(run_off, sizeof(DentryRun), false);
-        for (const Dentry& d : run->dentries) {
-          if (d.in_use()) {
-            return false;
-          }
-        }
-        run_off = run->next;
-      }
-    }
-  }
-  return true;
+  bool empty = true;
+  RETURN_IF_ERROR(WalkDirLive(cid, dir, std::nullopt, [&](const DirPage& p) {
+    empty = std::none_of(p.dentries.begin(), p.dentries.end(),
+                         [](const Dentry& d) { return d.in_use(); });
+    return empty;
+  }));
+  return empty;
 }
 
 // ---------------------------------------------------------------------------
 // Block map
 
-Result<uint64_t> ZoFs::GetBlock(uint32_t cid, const Inode* ino, uint64_t blk) {
+Result<uint64_t> ZoFs::SlotOff(const Inode* ino, uint64_t blk, CofferAllocator* alloc) {
   nvm::NvmDevice* dev = kfs_->dev();
-  // Every pointer loaded from the block map — index pages and the data page
-  // itself — is validated before anything dereferences it.
-  auto vet = [&](uint64_t off) { return off == 0 || ValidMetaPage(off); };
-  if (blk < kDirectBlocks) {
-    const uint64_t v = ino->direct[blk];
-    if (!vet(v)) {
-      return Sick(cid);
+  // The index page the pointer at `ptr_off` names: validated before anything
+  // dereferences it; when missing, created (allocating) or 0 (a hole).
+  auto index = [&](uint64_t ptr_off) -> Result<uint64_t> {
+    const uint64_t page = *dev->As<uint64_t>(ptr_off);
+    if (page != 0 && !ValidMetaPage(page)) {
+      return alloc != nullptr ? Sick(alloc->coffer_id()) : Err::kCorrupt;
     }
-    return v;
+    if (page != 0 || alloc == nullptr) {
+      return page;
+    }
+    ASSIGN_OR_RETURN(fresh, alloc->AllocPage(/*zero=*/true));
+    dev->Store64(ptr_off, fresh);
+    // zofs-lint: allow(unfenced-clwb) — index pointer: the caller's fence orders it
+    dev->Clwb(ptr_off, 8);
+    return fresh;
+  };
+  const uint64_t ino_off = dev->OffsetOf(ino);
+  if (blk < kDirectBlocks) {
+    return ino_off + offsetof(Inode, direct) + blk * 8;
   }
   blk -= kDirectBlocks;
-  if (blk < kPtrsPerPage) {
-    if (ino->indirect == 0) {
+  uint64_t ptr_off = ino_off + offsetof(Inode, indirect);
+  if (blk >= kPtrsPerPage) {
+    blk -= kPtrsPerPage;
+    if (blk >= kPtrsPerPage * kPtrsPerPage) {
+      return Err::kOverflow;
+    }
+    ASSIGN_OR_RETURN(dind, index(ino_off + offsetof(Inode, dindirect)));
+    if (dind == 0) {
       return uint64_t{0};
     }
-    if (!ValidMetaPage(ino->indirect)) {
-      return Sick(cid);
-    }
-    const uint64_t v = dev->As<uint64_t>(ino->indirect)[blk];
-    if (!vet(v)) {
-      return Sick(cid);
-    }
-    return v;
+    ptr_off = dind + blk / kPtrsPerPage * 8;
+    blk %= kPtrsPerPage;
   }
-  blk -= kPtrsPerPage;
-  if (blk < kPtrsPerPage * kPtrsPerPage) {
-    if (ino->dindirect == 0) {
-      return uint64_t{0};
-    }
-    if (!ValidMetaPage(ino->dindirect)) {
-      return Sick(cid);
-    }
-    uint64_t l1 = dev->As<uint64_t>(ino->dindirect)[blk / kPtrsPerPage];
-    if (l1 == 0) {
-      return uint64_t{0};
-    }
-    if (!ValidMetaPage(l1)) {
-      return Sick(cid);
-    }
-    const uint64_t v = dev->As<uint64_t>(l1)[blk % kPtrsPerPage];
-    if (!vet(v)) {
-      return Sick(cid);
-    }
-    return v;
+  ASSIGN_OR_RETURN(ind, index(ptr_off));
+  return ind == 0 ? 0 : ind + blk * 8;
+}
+
+Result<uint64_t> ZoFs::GetBlock(uint32_t cid, const Inode* ino, uint64_t blk) {
+  auto slot = SlotOff(ino, blk, nullptr);
+  if (!slot.ok()) {
+    return slot.error() == Err::kCorrupt ? Sick(cid) : slot.error();
   }
-  return Err::kOverflow;
+  // The data page pointer is validated too before anything dereferences it.
+  const uint64_t v = *slot == 0 ? 0 : *kfs_->dev()->As<uint64_t>(*slot);
+  if (v != 0 && !ValidMetaPage(v)) {
+    return Sick(cid);
+  }
+  return v;
 }
 
 Result<uint64_t> ZoFs::GetOrAllocBlock(CofferAllocator& alloc, Inode* ino, uint64_t blk) {
   nvm::NvmDevice* dev = kfs_->dev();
-  const uint64_t ino_off = dev->OffsetOf(ino);
+  ASSIGN_OR_RETURN(slot, SlotOff(ino, blk, &alloc));
+  const uint64_t v = dev->Load64(slot);
+  if (v != 0) {
+    return ValidMetaPage(v) ? Result<uint64_t>(v) : Sick(alloc.coffer_id());
+  }
   // Block pointers are written back but the fence is deferred to the
   // operation-final Sfence (ZoFS provides no data atomicity, paper §5.3; a
   // crash that persists the size but not a pointer reads as a hole).
-  auto ensure_slot = [&](uint64_t slot_off) -> Result<uint64_t> {
-    uint64_t v = dev->Load64(slot_off);
-    if (v != 0) {
-      if (!ValidMetaPage(v)) {
-        return Sick(alloc.coffer_id());
-      }
-      return v;
-    }
-    ASSIGN_OR_RETURN(page, alloc.AllocPage(/*zero=*/false));
-    dev->Store64(slot_off, page);
-    // zofs-lint: allow(unfenced-clwb) — block pointer: the operation-final fence orders it
-    dev->Clwb(slot_off, 8);
-    return page;
-  };
-  auto ensure_index = [&](uint64_t slot_off) -> Result<uint64_t> {
-    uint64_t v = dev->Load64(slot_off);
-    if (v != 0) {
-      if (!ValidMetaPage(v)) {
-        return Sick(alloc.coffer_id());
-      }
-      return v;
-    }
-    ASSIGN_OR_RETURN(page, alloc.AllocPage(/*zero=*/true));
-    dev->Store64(slot_off, page);
-    // zofs-lint: allow(unfenced-clwb) — block pointer: the operation-final fence orders it
-    dev->Clwb(slot_off, 8);
-    return page;
-  };
-
-  if (blk < kDirectBlocks) {
-    return ensure_slot(ino_off + offsetof(Inode, direct) + blk * 8);
-  }
-  blk -= kDirectBlocks;
-  if (blk < kPtrsPerPage) {
-    ASSIGN_OR_RETURN(ind, ensure_index(ino_off + offsetof(Inode, indirect)));
-    return ensure_slot(ind + blk * 8);
-  }
-  blk -= kPtrsPerPage;
-  if (blk < kPtrsPerPage * kPtrsPerPage) {
-    ASSIGN_OR_RETURN(dind, ensure_index(ino_off + offsetof(Inode, dindirect)));
-    ASSIGN_OR_RETURN(ind, ensure_index(dind + (blk / kPtrsPerPage) * 8));
-    return ensure_slot(ind + (blk % kPtrsPerPage) * 8);
-  }
-  return Err::kOverflow;
+  ASSIGN_OR_RETURN(page, alloc.AllocPage(/*zero=*/false));
+  dev->Store64(slot, page);
+  // zofs-lint: allow(unfenced-clwb) — block pointer: the operation-final fence orders it
+  dev->Clwb(slot, 8);
+  return page;
 }
 
 Status ZoFs::InstallBlockPointer(Inode* ino, uint64_t blk, uint64_t page_off) {
-  nvm::NvmDevice* dev = kfs_->dev();
-  const uint64_t ino_off = dev->OffsetOf(ino);
-  uint64_t slot_off;
-  if (blk < kDirectBlocks) {
-    slot_off = ino_off + offsetof(Inode, direct) + blk * 8;
-  } else if (blk < kDirectBlocks + kPtrsPerPage) {
-    if (ino->indirect == 0 || !ValidMetaPage(ino->indirect)) {
-      return Err::kCorrupt;
-    }
-    slot_off = ino->indirect + (blk - kDirectBlocks) * 8;
-  } else {
-    const uint64_t idx = blk - kDirectBlocks - kPtrsPerPage;
-    if (ino->dindirect == 0 || !ValidMetaPage(ino->dindirect)) {
-      return Err::kCorrupt;
-    }
-    uint64_t l1 = dev->As<uint64_t>(ino->dindirect)[idx / kPtrsPerPage];
-    if (l1 == 0 || !ValidMetaPage(l1)) {
-      return Err::kCorrupt;
-    }
-    slot_off = l1 + (idx % kPtrsPerPage) * 8;
+  auto slot = SlotOff(ino, blk, nullptr);
+  if (!slot.ok() || *slot == 0) {
+    return Err::kCorrupt;
   }
-  dev->Store64(slot_off, page_off);
+  nvm::NvmDevice* dev = kfs_->dev();
+  dev->Store64(*slot, page_off);
   // zofs-lint: allow(unfenced-clwb) — block pointer: the operation-final fence orders it
-  dev->Clwb(slot_off, 8);
+  dev->Clwb(*slot, 8);
   return common::OkStatus();
 }
 
@@ -1408,35 +1303,22 @@ Status ZoFs::FreeNode(uint32_t cid, CofferAllocator& alloc, uint64_t inode_off) 
   Inode* ino = Ino(inode_off);
   if (ino->type == kTypeRegular) {
     RETURN_IF_ERROR(FreeBlocksFrom(alloc, ino, 0));
-  } else if (ino->type == kTypeDirectory && ino->l1_dir != 0) {
-    if (!ValidMetaPage(ino->l1_dir)) {
-      return Sick(cid);
+  } else if (ino->type == kTypeDirectory) {
+    // An L2 page goes back after the run pages of its chains: the walk hands
+    // it over before them, so it is freed when the next one comes, or after.
+    uint64_t l2 = 0;
+    Status freed = common::OkStatus();
+    RETURN_IF_ERROR(WalkDirLive(cid, ino, std::nullopt, [&](const DirPage& p) {
+      const uint64_t page = p.run ? p.off : std::exchange(l2, p.off);
+      freed = page == 0 ? common::OkStatus() : alloc.FreePage(page);
+      return freed.ok();
+    }));
+    RETURN_IF_ERROR(freed);
+    for (uint64_t page : {l2, ino->l1_dir}) {
+      if (page != 0) {
+        RETURN_IF_ERROR(alloc.FreePage(page));
+      }
     }
-    uint64_t* l1 = dev->As<uint64_t>(ino->l1_dir);
-    const uint64_t max_steps = dev->num_pages();
-    uint64_t steps = 0;
-    for (uint64_t s = 0; s < kL1Slots; s++) {
-      if (l1[s] == 0) {
-        continue;
-      }
-      if (!ValidMetaPage(l1[s])) {
-        return Sick(cid);
-      }
-      L2Page* l2 = dev->As<L2Page>(l1[s]);
-      for (uint64_t b = 0; b < kL2Buckets; b++) {
-        uint64_t run_off = l2->buckets[b];
-        for (; run_off != 0; steps++) {
-          if (steps >= max_steps || !ValidMetaPage(run_off)) {
-            return Sick(cid);
-          }
-          uint64_t next = dev->As<DentryRun>(run_off)->next;
-          RETURN_IF_ERROR(alloc.FreePage(run_off));
-          run_off = next;
-        }
-      }
-      RETURN_IF_ERROR(alloc.FreePage(l1[s]));
-    }
-    RETURN_IF_ERROR(alloc.FreePage(ino->l1_dir));
   }
   // Invalidate the magic so recovery does not resurrect the node, and move
   // the generation, which shares the magic's cacheline, so a waiter on this
@@ -1850,11 +1732,11 @@ Result<size_t> ZoFs::WriteLocked(NodeRef node, const MapInfo& info, Inode* ino, 
   if (!swaps.empty()) {
     dev->Sfence();  // the COW pages are durable before any pointer moves
     for (const PendingSwap& sw : swaps) {
-      // Re-resolve the slot (GetOrAllocBlock on an existing block never
-      // allocates) and swap the pointer; the 8-byte store is atomic.
-      ASSIGN_OR_RETURN(slot_page, GetOrAllocBlock(alloc, ino, sw.blk));
-      (void)slot_page;
-      RETURN_IF_ERROR(InstallBlockPointer(ino, sw.blk, sw.fresh));
+      // The block is mapped, so its index pages exist: swap the pointer
+      // with one atomic 8-byte store.
+      if (!InstallBlockPointer(ino, sw.blk, sw.fresh).ok()) {
+        return Sick(node.coffer_id);
+      }
     }
   }
 
@@ -1987,44 +1869,6 @@ void ZoFs::DropStage(uint64_t inode_off) {
   (void)TakeStage(inode_off);
 }
 
-Result<uint64_t> ZoFs::EnsureSlotOff(CofferAllocator& alloc, Inode* ino, uint64_t blk) {
-  nvm::NvmDevice* dev = kfs_->dev();
-  const uint64_t ino_off = dev->OffsetOf(ino);
-  // Index pages are created eagerly (written back immediately): the intent
-  // commits only after fence A, so a committed intent implies the index
-  // structure it relies on is durable and recovery's roll-forward cannot
-  // dead-end on a missing index page.
-  auto ensure_index = [&](uint64_t slot_off) -> Result<uint64_t> {
-    uint64_t v = dev->Load64(slot_off);
-    if (v != 0) {
-      if (!ValidMetaPage(v)) {
-        return Sick(alloc.coffer_id());
-      }
-      return v;
-    }
-    ASSIGN_OR_RETURN(page, alloc.AllocPage(/*zero=*/true));
-    dev->Store64(slot_off, page);
-    // zofs-lint: allow(unfenced-clwb) — index pointer: the pre-intent fence orders it
-    dev->Clwb(slot_off, 8);
-    return page;
-  };
-  if (blk < kDirectBlocks) {
-    return ino_off + offsetof(Inode, direct) + blk * 8;
-  }
-  blk -= kDirectBlocks;
-  if (blk < kPtrsPerPage) {
-    ASSIGN_OR_RETURN(ind, ensure_index(ino_off + offsetof(Inode, indirect)));
-    return ind + blk * 8;
-  }
-  blk -= kPtrsPerPage;
-  if (blk < kPtrsPerPage * kPtrsPerPage) {
-    ASSIGN_OR_RETURN(dind, ensure_index(ino_off + offsetof(Inode, dindirect)));
-    ASSIGN_OR_RETURN(ind, ensure_index(dind + (blk / kPtrsPerPage) * 8));
-    return ind + (blk % kPtrsPerPage) * 8;
-  }
-  return Err::kOverflow;
-}
-
 Result<bool> ZoFs::StageAppendData(uint32_t cid, const MapInfo& info, Inode* ino,
                                    const void* buf, size_t n) {
   AUDIT_SCOPE("ZoFs::StageAppendData");
@@ -2032,7 +1876,7 @@ Result<bool> ZoFs::StageAppendData(uint32_t cid, const MapInfo& info, Inode* ino
   const uint64_t ino_off = dev->OffsetOf(ino);
   const uint64_t off = ino->size;
   const uint64_t last_blk = (off + n - 1) / nvm::kPageSize;
-  if (last_blk >= kDirectBlocks + kPtrsPerPage + kPtrsPerPage * kPtrsPerPage) {
+  if (last_blk >= kMaxFileBlocks) {
     return false;  // beyond the block map; let WriteAt produce the error
   }
 
@@ -2074,8 +1918,12 @@ Result<bool> ZoFs::StageAppendData(uint32_t cid, const MapInfo& info, Inode* ino
     } else if (blk == st->start_blk + st->pages.size()) {
       // Fresh page: allocate without zeroing (the chunk covers the page up
       // to its end; bytes past new_size are beyond EOF) and install the
-      // pointer volatilely — the epoch's FlushSet carries the line.
-      ASSIGN_OR_RETURN(slot_off, EnsureSlotOff(alloc, ino, blk));
+      // pointer volatilely — the epoch's FlushSet carries the line. Index
+      // pages are created eagerly, written back now: the intent commits
+      // only after fence A, so a committed intent implies the index pages
+      // it relies on are durable and recovery's roll-forward cannot
+      // dead-end on a missing one.
+      ASSIGN_OR_RETURN(slot_off, SlotOff(ino, blk, &alloc));
       ASSIGN_OR_RETURN(fresh, alloc.AllocPageStaged(&st->flush));
       if (in_off > 0) {
         // First staged page entered mid-block (the durable tail block was

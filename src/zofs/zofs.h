@@ -368,6 +368,34 @@ class ZoFs final : public ufs::MicroFs {
   Result<ResolveResult> Resolve(const std::string& path, bool follow_last_symlink);
 
   // --- directory internals (caller holds the coffer window + dir lock) ---
+  // One page of a directory's dentry storage, as the directory walks hand
+  // it to their visitors: an L2 page with its embedded dentries, or a run
+  // page of a bucket chain.
+  struct DirPage {
+    uint64_t off;
+    bool run;
+    std::span<Dentry> dentries;
+  };
+  // The live directory walk (DirFind, DirIterate, DirIsEmpty, FreeNode):
+  // the L2 page of the name hashing to `*hash` and its bucket chain, or with
+  // no hash every L2 page of `dir` and all its chains, an L2 page before its
+  // chains. Each L2 and run page is validated (ValidMetaPage) and passes the
+  // simulated read check before `visit(const DirPage&)` sees it; a run
+  // page's `next` is read first, so the visitor may free the page. A walk
+  // steps through at most as many run pages as the device holds. A bad
+  // pointer or a spent budget quarantines `cid` (Sick). The visitor returns
+  // false to end the walk.
+  template <typename Visit>
+  Status WalkDirLive(uint32_t cid, const Inode* dir, std::optional<uint32_t> hash,
+                     Visit&& visit);
+  // The salvage directory walk (CollectReachable, FindDirPath), recovery's
+  // policy: a page that fails PlausiblePage is skipped with everything
+  // behind it, and a chain ends at the first page it visits twice. Every
+  // page it reads (the L1 page too) is appended to `pages` when given.
+  // `visit` as for WalkDirLive.
+  template <typename Visit>
+  void WalkDirSalvage(const Inode* dir, std::vector<uint64_t>* pages, Visit&& visit);
+
   Result<Dentry*> DirFind(uint32_t cid, Inode* dir, std::string_view name);
   Status DirInsert(uint32_t cid, const kernfs::MapInfo& info, Inode* dir, std::string_view name,
                    uint32_t child_coffer, uint64_t child_inode, uint32_t child_gen,
@@ -481,9 +509,6 @@ class ZoFs final : public ufs::MicroFs {
   // too large, ...) and the caller must fall back to the synchronous write.
   Result<bool> StageAppendData(uint32_t cid, const kernfs::MapInfo& info, Inode* ino,
                                const void* buf, size_t n);
-  // Resolves the block-pointer slot offset for `blk`, creating index pages
-  // (eagerly written back; the pre-intent fence orders them) as needed.
-  Result<uint64_t> EnsureSlotOff(CofferAllocator& alloc, Inode* ino, uint64_t blk);
   // Claims the coffer's staged-append intent slot, persists the body and
   // commits it (two fences; the first also commits the epoch's NT data).
   // kBusy when another live process holds the slot past the wait bound.
@@ -506,9 +531,18 @@ class ZoFs final : public ufs::MicroFs {
   Result<bool> DirIsEmpty(uint32_t cid, const Inode* dir);
 
   // --- block map ---
+  // The one block-map walk: the offset of the 8-byte slot that holds block
+  // `blk`'s pointer. Without `alloc` it only reads: a missing index page
+  // makes the block a hole (0) and a bad index pointer fails with kCorrupt,
+  // for the caller to judge. With `alloc` it creates missing index pages,
+  // zeroed and written back without a fence (the caller's fence orders
+  // them), and quarantines the coffer on a bad index pointer (Sick).
+  // kOverflow past kMaxFileBlocks.
+  Result<uint64_t> SlotOff(const Inode* ino, uint64_t blk, CofferAllocator* alloc);
   Result<uint64_t> GetBlock(uint32_t cid, const Inode* ino, uint64_t blk);
   Result<uint64_t> GetOrAllocBlock(CofferAllocator& alloc, Inode* ino, uint64_t blk);
-  // Atomically repoints `blk` at `page_off` (index pages must already exist).
+  // Atomically repoints `blk` at `page_off`. kCorrupt, without quarantine,
+  // when an index page on the way is missing or bad.
   Status InstallBlockPointer(Inode* ino, uint64_t blk, uint64_t page_off);
   // Spills a file's inline data out to block 0 (called when it outgrows the
   // inline area or atomic/normal block writes need the block map).
@@ -760,6 +794,47 @@ class ZoFs final : public ufs::MicroFs {
   std::unordered_set<uint32_t> rename_repath_;
   bool rename_repath_all_ = false;
 };
+
+// Defined here, not in zofs.cc: recovery (zofs_recovery.cc) and online repair
+// (zofs_repair.cc) both walk directories this way.
+template <typename Visit>
+void ZoFs::WalkDirSalvage(const Inode* dir, std::vector<uint64_t>* pages, Visit&& visit) {
+  nvm::NvmDevice* dev = kfs_->dev();
+  auto record = [pages](uint64_t off) {
+    if (pages != nullptr) {
+      pages->push_back(off);
+    }
+  };
+  if (!PlausiblePage(dev, dir->l1_dir)) {
+    return;
+  }
+  record(dir->l1_dir);
+  const uint64_t* l1 = dev->As<uint64_t>(dir->l1_dir);
+  std::unordered_set<uint64_t> seen;  // the current chain's pages: a corrupted chain may loop
+  for (uint64_t s = 0; s < kL1Slots; s++) {
+    const uint64_t l2_off = l1[s];
+    if (!PlausiblePage(dev, l2_off)) {
+      continue;
+    }
+    record(l2_off);
+    L2Page* l2 = dev->As<L2Page>(l2_off);
+    if (!visit(DirPage{l2_off, false, l2->embedded})) {
+      return;
+    }
+    for (uint64_t b = 0; b < kL2Buckets; b++) {
+      seen.clear();
+      for (uint64_t run_off = l2->buckets[b];
+           PlausiblePage(dev, run_off) && seen.insert(run_off).second;) {
+        record(run_off);
+        DentryRun* run = dev->As<DentryRun>(run_off);
+        if (!visit(DirPage{run_off, true, run->dentries})) {
+          return;
+        }
+        run_off = run->next;
+      }
+    }
+  }
+}
 
 // Lease lock over an inode (paper §5.2): CAS-claimed owner + expiry deadline,
 // stealable after expiry so a dead process cannot wedge the lock (claim and

@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <set>
-#include <unordered_set>
 
 #include "src/common/clock.h"
 #include "src/common/hash.h"
@@ -73,18 +72,9 @@ Status ZoFs::CollectReachable(uint32_t cid, uint64_t inode_off, const std::strin
   if (ino->type != kTypeDirectory) {
     return Err::kCorrupt;
   }
-  if (ino->l1_dir == 0) {
-    return common::OkStatus();
-  }
-  if (!PlausiblePage(dev, ino->l1_dir)) {
-    return common::OkStatus();  // drop the whole (corrupt) directory body
-  }
-  pages->push_back(ino->l1_dir);
-  const uint64_t* l1 = dev->As<uint64_t>(ino->l1_dir);
-
-  auto visit_dentry = [&](Dentry& d) -> Status {
+  auto visit_dentry = [&](Dentry& d) {
     if (!d.in_use()) {
-      return common::OkStatus();
+      return;
     }
     const uint64_t d_off = dev->OffsetOf(&d);
     // Recognise corrupt dentries (paper: "ZoFS first tries to recognize and
@@ -98,7 +88,7 @@ Status ZoFs::CollectReachable(uint32_t cid, uint64_t inode_off, const std::strin
       dev->Store16(d_off + offsetof(Dentry, flags), 0);
       dev->PersistRange(d_off + offsetof(Dentry, flags), 2);
       (*cleared_dentries)++;
-      return common::OkStatus();
+      return;
     }
     std::string child_path =
         (path == "/" ? "/" : path + "/") + std::string(d.name, d.name_len);
@@ -106,7 +96,7 @@ Status ZoFs::CollectReachable(uint32_t cid, uint64_t inode_off, const std::strin
       // A child coffer's root took its generation from this coffer.
       *max_gen = std::max<uint64_t>(*max_gen, d.generation);
       cross_refs->push_back(CrossRef{child_path, cid, d.coffer_id, d.inode_off, d_off});
-      return common::OkStatus();
+      return;
     }
     Status s = CollectReachable(cid, d.inode_off, child_path, pages, cross_refs,
                                 cleared_dentries, max_gen);
@@ -117,34 +107,14 @@ Status ZoFs::CollectReachable(uint32_t cid, uint64_t inode_off, const std::strin
       dev->PersistRange(d_off + offsetof(Dentry, flags), 2);
       (*cleared_dentries)++;
     }
-    return common::OkStatus();
   };
-
-  for (uint64_t s = 0; s < kL1Slots; s++) {
-    if (l1[s] == 0) {
-      continue;
+  // A directory body that fails plausibility is dropped with what it holds.
+  WalkDirSalvage(ino, pages, [&](const DirPage& p) {
+    for (Dentry& d : p.dentries) {
+      visit_dentry(d);
     }
-    if (!PlausiblePage(dev, l1[s])) {
-      continue;
-    }
-    pages->push_back(l1[s]);
-    L2Page* l2 = dev->As<L2Page>(l1[s]);
-    for (Dentry& d : l2->embedded) {
-      RETURN_IF_ERROR(visit_dentry(d));
-    }
-    for (uint64_t b = 0; b < kL2Buckets; b++) {
-      uint64_t run_off = l2->buckets[b];
-      std::unordered_set<uint64_t> seen;  // corrupted chains may loop
-      while (run_off != 0 && PlausiblePage(dev, run_off) && seen.insert(run_off).second) {
-        pages->push_back(run_off);
-        DentryRun* run = dev->As<DentryRun>(run_off);
-        for (Dentry& d : run->dentries) {
-          RETURN_IF_ERROR(visit_dentry(d));
-        }
-        run_off = run->next;
-      }
-    }
-  }
+    return true;
+  });
   return common::OkStatus();
 }
 

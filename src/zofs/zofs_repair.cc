@@ -224,47 +224,25 @@ Result<std::string> ZoFs::FindDirPath(uint32_t cid, const MapInfo& info,
       continue;
     }
     const Inode* ino = Ino(cur);
-    if (ino->magic != kInodeMagic || ino->type != kTypeDirectory || ino->l1_dir == 0 ||
-        !PlausiblePage(dev, ino->l1_dir)) {
+    if (ino->magic != kInodeMagic || ino->type != kTypeDirectory) {
       continue;
     }
     std::string found;
-    auto visit_dentry = [&](const Dentry& d) {
-      if (!found.empty() || !d.in_use() || d.coffer_id != 0 ||
-          d.cached_type() != kTypeDirectory || d.name_len == 0 || d.name_len > kMaxName) {
-        return;
-      }
-      if (!visited.insert(d.inode_off).second) {
-        return;
-      }
-      std::string child = JoinPath(path, std::string_view(d.name, d.name_len));
-      if (d.inode_off == dir_ino_off) {
-        found = std::move(child);
-        return;
-      }
-      queue.emplace_back(d.inode_off, std::move(child));
-    };
-    const uint64_t* l1 = dev->As<uint64_t>(ino->l1_dir);
-    for (uint64_t s = 0; s < kL1Slots && found.empty(); s++) {
-      if (l1[s] == 0 || !PlausiblePage(dev, l1[s])) {
-        continue;
-      }
-      const L2Page* l2 = dev->As<L2Page>(l1[s]);
-      for (const Dentry& d : l2->embedded) {
-        visit_dentry(d);
-      }
-      for (uint64_t b = 0; b < kL2Buckets && found.empty(); b++) {
-        uint64_t run_off = l2->buckets[b];
-        std::unordered_set<uint64_t> seen;  // corrupted chains may loop
-        while (run_off != 0 && PlausiblePage(dev, run_off) && seen.insert(run_off).second) {
-          const DentryRun* run = dev->As<DentryRun>(run_off);
-          for (const Dentry& d : run->dentries) {
-            visit_dentry(d);
-          }
-          run_off = run->next;
+    WalkDirSalvage(ino, nullptr, [&](const DirPage& p) {
+      for (const Dentry& d : p.dentries) {
+        if (!d.in_use() || d.coffer_id != 0 || d.cached_type() != kTypeDirectory ||
+            d.name_len == 0 || d.name_len > kMaxName || !visited.insert(d.inode_off).second) {
+          continue;
         }
+        std::string child = JoinPath(path, std::string_view(d.name, d.name_len));
+        if (d.inode_off == dir_ino_off) {
+          found = std::move(child);
+          return false;
+        }
+        queue.emplace_back(d.inode_off, std::move(child));
       }
-    }
+      return true;
+    });
     if (!found.empty()) {
       return found;
     }

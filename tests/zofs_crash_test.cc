@@ -124,6 +124,62 @@ TEST_F(ZofsCrashTest, RecoveryReclaimsAllocatorFreeLists) {
   EXPECT_EQ(st->size, 4096u);
 }
 
+TEST_F(ZofsCrashTest, AppendTruncateAndRegrowAcrossBlockMapBoundaries) {
+  // One file grown by 4 KB appends, which take the staged path, past block
+  // 12 (the first behind the indirect pointer) and block 524 (the first
+  // behind the double-indirect one); then truncated to each side of both
+  // boundaries, each time regrown by a pwrite of the first dropped block.
+  // Every block reads back as last written, before and after a crash, and
+  // fsck comes out clean.
+  constexpr uint64_t kPage = nvm::kPageSize;
+  constexpr uint64_t kIndirect = zofs::kDirectBlocks;
+  constexpr uint64_t kDindirect = zofs::kDirectBlocks + zofs::kPtrsPerPage;
+  auto appended = [](uint64_t b) { return std::string(kPage, static_cast<char>('A' + b % 23)); };
+  auto regrown = [](uint64_t b) { return std::string(kPage, static_cast<char>('a' + b % 23)); };
+  auto read_block = [&](vfs::Fd fd, uint64_t b) {
+    std::string got(kPage, '\0');
+    auto n = fs_->Pread(fd, got.data(), got.size(), b * kPage);
+    return n.ok() && *n == kPage ? got : std::string("short read");
+  };
+
+  auto fd = fs_->Open(cred, "/grow", vfs::kCreate | vfs::kRdWr, 0644);
+  ASSERT_TRUE(fd.ok());
+  auto afd = fs_->Open(cred, "/grow", vfs::kWrite | vfs::kAppend, 0);
+  ASSERT_TRUE(afd.ok());
+  const uint64_t hits = fs_->zofs().StagedAppendHits();
+  for (uint64_t b = 0; b <= kDindirect + 1; b++) {
+    const std::string data = appended(b);
+    ASSERT_TRUE(fs_->Write(*afd, data.data(), data.size()).ok()) << b;
+  }
+  EXPECT_EQ(fs_->zofs().StagedAppendHits() - hits, kDindirect + 2);
+  for (uint64_t b : {kIndirect - 1, kIndirect, kDindirect - 1, kDindirect}) {
+    EXPECT_EQ(read_block(*fd, b), appended(b)) << "block " << b;
+  }
+
+  for (uint64_t blocks : {kDindirect + 1, kDindirect, kDindirect - 1, kIndirect, kIndirect - 1}) {
+    SCOPED_TRACE("truncated to " + std::to_string(blocks) + " blocks");
+    ASSERT_TRUE(fs_->Ftruncate(*fd, blocks * kPage).ok());
+    const std::string data = regrown(blocks);
+    ASSERT_TRUE(fs_->Pwrite(*fd, data.data(), data.size(), blocks * kPage).ok());
+    auto st = fs_->Fstat(*fd);
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(st->size, (blocks + 1) * kPage);
+    EXPECT_EQ(read_block(*fd, blocks - 1), appended(blocks - 1));
+    EXPECT_EQ(read_block(*fd, blocks), data);
+  }
+
+  CrashAndReboot();
+  auto rfd = fs_->Open(cred, "/grow", vfs::kRead, 0);
+  ASSERT_TRUE(rfd.ok());
+  auto st = fs_->Fstat(*rfd);
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st->size, kIndirect * kPage);
+  for (uint64_t b = 0; b + 1 < kIndirect; b++) {
+    EXPECT_EQ(read_block(*rfd, b), appended(b)) << "block " << b;
+  }
+  EXPECT_EQ(read_block(*rfd, kIndirect - 1), regrown(kIndirect - 1));
+}
+
 TEST_F(ZofsCrashTest, RandomOpsWithCrashKeepInvariants) {
   // Property test: random operations, crash at a random point, reboot +
   // fsck, then (a) every file that was fully created before the crash and

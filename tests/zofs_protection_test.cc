@@ -5,8 +5,11 @@
 #include <cstring>
 #include <functional>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rand.h"
 #include "src/fslib/fslib.h"
 #include "src/kernfs/kernfs.h"
@@ -145,6 +148,143 @@ TEST_F(ProtectionTest, CorruptionYieldsGracefulErrorNotCrash) {
     auto n = p.Pread(*other, buf, 4, 0);
     ASSERT_TRUE(n.ok());
     EXPECT_EQ(std::string(buf, *n), "live");
+  }
+}
+
+TEST_F(ProtectionTest, DamagedIndexWalksEndInPinnedErrors) {
+  // Every walk of a damaged directory hash or block map ends in an error
+  // return — never EFAULT, the simulated SIGSEGV, and never a hang — and
+  // leaves the coffer in the health each row pins, one row per entry point.
+  // Directory rows: the bucket chain of the name /d/x (which shares /d/a's
+  // L1 slot, so its lookup reaches a live L2 page) loops through two run
+  // pages pointing at each other, fabricated from two data pages of /f in
+  // the same coffer, as the fault campaign builds it. Block-map rows: /f's
+  // indirect (or double-indirect) pointer is misaligned and the op touches a
+  // block behind it.
+  const vfs::Cred c{1000, 1000};
+  using zofs::CofferHealth;
+  enum class Damage { kDirLoop, kIndirect, kDindirect };
+  using Op = std::function<Err(fslib::FsLib&, vfs::Fd fd, vfs::Fd append_fd, uint64_t blk)>;
+  auto err = [](const auto& r) { return r.ok() ? Err::kOk : r.error(); };
+  std::string x;
+  for (int i = 0; x.empty(); i++) {
+    const std::string n = "x" + std::to_string(i);
+    if (common::Fnv1a32(n) % zofs::kL1Slots == common::Fnv1a32("a") % zofs::kL1Slots) {
+      x = n;
+    }
+  }
+  const std::string page(nvm::kPageSize, 'p');
+  char buf[8] = {};
+  struct Row {
+    const char* name;
+    Damage damage;
+    Op op;
+    Err err;
+    CofferHealth health;
+    bool unlink_first = false;  // unlink /d/a before the op (its L2 page stays)
+  };
+  const Op pread = [&](fslib::FsLib& p, vfs::Fd fd, vfs::Fd, uint64_t blk) {
+    return err(p.Pread(fd, buf, sizeof(buf), blk * nvm::kPageSize));
+  };
+  const Op pwrite = [&](fslib::FsLib& p, vfs::Fd fd, vfs::Fd, uint64_t blk) {
+    return err(p.Pwrite(fd, "w", 1, blk * nvm::kPageSize));
+  };
+  const Op append = [&](fslib::FsLib& p, vfs::Fd, vfs::Fd afd, uint64_t) {
+    return err(p.Write(afd, page.data(), page.size()));  // the staged path, at block blk + 1
+  };
+  const Op ftruncate = [&](fslib::FsLib& p, vfs::Fd fd, vfs::Fd, uint64_t blk) {
+    return err(p.Ftruncate(fd, blk * nvm::kPageSize));
+  };
+  const std::vector<Row> rows = {
+      {"stat in the looping dir", Damage::kDirLoop,
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd, uint64_t) { return err(p.Stat(c, "/d/" + x)); },
+       Err::kCorrupt, CofferHealth::kSick},
+      {"create in the looping dir", Damage::kDirLoop,
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd, uint64_t) {
+         return err(p.Open(c, "/d/" + x, vfs::kCreate | vfs::kWrite, 0666));
+       },
+       Err::kIo, CofferHealth::kSick},  // the lookup quarantined the coffer; the open fails fast
+      {"readdir of the looping dir", Damage::kDirLoop,
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd, uint64_t) { return err(p.ReadDir(c, "/d")); },
+       Err::kCorrupt, CofferHealth::kSick},
+      {"rmdir of the emptied looping dir", Damage::kDirLoop,
+       [&](fslib::FsLib& p, vfs::Fd, vfs::Fd, uint64_t) { return err(p.Rmdir(c, "/d")); },
+       Err::kCorrupt, CofferHealth::kSick, true},
+      {"pread behind a misaligned indirect", Damage::kIndirect, pread, Err::kCorrupt,
+       CofferHealth::kSick},
+      {"pwrite behind a misaligned indirect", Damage::kIndirect, pwrite, Err::kCorrupt,
+       CofferHealth::kSick},
+      {"append behind a misaligned indirect", Damage::kIndirect, append, Err::kCorrupt,
+       CofferHealth::kSick},
+      {"ftruncate behind a misaligned indirect", Damage::kIndirect, ftruncate, Err::kCorrupt,
+       CofferHealth::kSick},
+      {"pread behind a misaligned double-indirect", Damage::kDindirect, pread, Err::kCorrupt,
+       CofferHealth::kSick},
+      {"pwrite behind a misaligned double-indirect", Damage::kDindirect, pwrite, Err::kCorrupt,
+       CofferHealth::kSick},
+      {"append behind a misaligned double-indirect", Damage::kDindirect, append, Err::kCorrupt,
+       CofferHealth::kSick},
+      {"ftruncate behind a misaligned double-indirect", Damage::kDindirect, ftruncate,
+       Err::kCorrupt, CofferHealth::kSick},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    Boot();
+    fslib::FsLib& p = *stack_->AddProcess(c);
+    ASSERT_TRUE(p.Mkdir(c, "/d", 0777).ok());
+    ASSERT_TRUE(p.Open(c, "/d/a", vfs::kCreate | vfs::kWrite, 0666).ok());
+    // /f: blocks 0 and 1 (the run-page material) and block `blk`, the first
+    // one behind the damaged pointer.
+    const uint64_t blk = row.damage == Damage::kDindirect ? zofs::kDirectBlocks + zofs::kPtrsPerPage
+                                                          : zofs::kDirectBlocks;
+    auto fd = p.Open(c, "/f", vfs::kCreate | vfs::kRdWr, 0666);
+    ASSERT_TRUE(fd.ok());
+    for (uint64_t b : {uint64_t{0}, uint64_t{1}, blk}) {
+      ASSERT_TRUE(p.Pwrite(*fd, page.data(), page.size(), b * nvm::kPageSize).ok());
+    }
+    auto afd = p.Open(c, "/f", vfs::kWrite | vfs::kAppend, 0);
+    ASSERT_TRUE(afd.ok());
+    if (row.unlink_first) {
+      ASSERT_TRUE(p.Unlink(c, "/d/a").ok());
+    }
+
+    zofs::ZoFs& z = p.zofs();
+    const uint32_t cid = kfs_->root_coffer_id();
+    auto f = z.Lookup("/f", true);
+    auto d = z.Lookup("/d", true);
+    ASSERT_TRUE(f.ok() && d.ok());
+    ASSERT_EQ(f->coffer_id, cid);
+    ASSERT_EQ(d->coffer_id, cid);
+    auto pages = z.FilePages(*f, nullptr);
+    ASSERT_TRUE(pages.ok());
+    auto info = z.EnsureMappedForTest(cid, true);
+    ASSERT_TRUE(info.ok());
+    {
+      mpk::AccessWindow w(info->key, true);
+      if (row.damage == Damage::kDirLoop) {
+        const uint64_t run_a = (*pages)[0] * nvm::kPageSize;
+        const uint64_t run_b = (*pages)[1] * nvm::kPageSize;
+        const std::vector<uint8_t> empty(nvm::kPageSize, 0);
+        for (auto [run, next] : {std::pair{run_a, run_b}, std::pair{run_b, run_a}}) {
+          dev_->StoreBytes(run, empty.data(), empty.size());
+          dev_->Store64(run + offsetof(zofs::DentryRun, next), next);
+        }
+        const uint32_t h = common::Fnv1a32(x);
+        const uint64_t l2 = dev_->As<uint64_t>(z.InodeForTest(*d)->l1_dir)[h % zofs::kL1Slots];
+        ASSERT_NE(l2, 0u);
+        dev_->Store64(l2 + offsetof(zofs::L2Page, buckets) +
+                          (h / zofs::kL1Slots) % zofs::kL2Buckets * 8,
+                      run_a);
+      } else {
+        const uint64_t ptr = f->inode_off + (row.damage == Damage::kIndirect
+                                                 ? offsetof(zofs::Inode, indirect)
+                                                 : offsetof(zofs::Inode, dindirect));
+        ASSERT_NE(dev_->Load64(ptr), 0u);
+        dev_->Store64(ptr, dev_->Load64(ptr) + 8);
+      }
+    }
+    EXPECT_EQ(row.op(p, *fd, *afd, blk), row.err);
+    EXPECT_EQ(z.Health(cid), row.health);
   }
 }
 

@@ -10,6 +10,9 @@
 #   * fault_inject --seed=42 --threads=4 --json; on a DIFF, the trials whose
 #     outcome or detail moved are listed one per line, joined by trial id,
 #     with whether any moved to silent-data, hang, crash or escape;
+#   * the same campaign with the planted raw-deref bug (--raw-deref; exit 1
+#     by design), whose outcomes depend on where each walk validates a
+#     pointer before it dereferences it; a DIFF lists its trials the same way;
 #   * zofs_soak --seed=42 --json, with and without --key-pressure;
 #   * pmem_audit --fs=zofs --ops=2000 --json on DWOL and MWCL, with the
 #     `file.cc:<line>` part of finding sites normalized (moved code changes
@@ -47,19 +50,20 @@ compare() {
   else
     printf '  %-32s DIFF\n' "$1"
     diff "$OUT/parent.$2" "$OUT/change.$2" | head -20 | sed 's/^/      /'
-    if [ "$2" = fault ]; then
-      fault_trials
-    fi
+    case $2 in
+      fault | fault-raw) fault_trials "$2" ;;
+    esac
     FAIL=1
   fi
 }
 
 normalize_sites() { sed -E 's/([A-Za-z0-9_]+\.cc):[0-9]+/\1:N/g' "$1" > "$1.norm"; }
 
-# fault_trials: the fault_inject trials whose outcome or detail differ between
-# the two reports (each is the tool's JSON followed by an `exit=` line).
+# fault_trials <file-stem>: the fault_inject trials whose outcome or detail
+# differ between the two reports (each is the tool's JSON followed by an
+# `exit=` line).
 fault_trials() {
-  python3 - "$OUT/parent.fault" "$OUT/change.fault" <<'PY'
+  python3 - "$OUT/parent.$1" "$OUT/change.$1" <<'PY'
 import json
 import sys
 
@@ -104,6 +108,7 @@ for side in parent change; do
       --max-points=200 --json
   done
   report "$build" "$OUT/$side.fault" fault_inject --seed=42 --threads=4 --json
+  report "$build" "$OUT/$side.fault-raw" fault_inject --seed=42 --threads=4 --raw-deref --json
   report "$build" "$OUT/$side.soak" zofs_soak --seed=42 --json
   report "$build" "$OUT/$side.soak-kp" zofs_soak --seed=42 --key-pressure --json
   for wl in DWOL MWCL; do
@@ -119,6 +124,7 @@ for wl in DWOL DWAL CHURN MWCL MWUL MWRL MIXED; do
   compare "crash_explore $wl" "crash.$wl"
 done
 compare "fault_inject" fault
+compare "fault_inject --raw-deref" fault-raw
 compare "zofs_soak" soak
 compare "zofs_soak --key-pressure" soak-kp
 for wl in DWOL MWCL; do
