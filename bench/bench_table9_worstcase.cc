@@ -9,8 +9,13 @@
 //
 // Compared: NOVA (kernel chmod/rename), ZoFS (coffer split / page moves),
 // ZoFS-1coffer (pure user-space metadata updates).
+//
+// Knobs: ZR_TABLE9_FILES (default 1000), ZR_TABLE9_FILE_BYTES (default 8192).
+// Exits 1 when a chmod or rename fails, or when, after a ZoFS measurement,
+// KernFS's allocation table and coffer run maps disagree.
 
 #include <cstdio>
+#include <string>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -23,6 +28,21 @@ namespace {
 using harness::FsKind;
 
 const vfs::Cred kCred{0, 0};
+
+bool g_failed = false;
+
+// After a measurement on a ZoFS kind: every coffer run must cover only
+// pages the allocation table gives that coffer.
+void CheckAllocTable(harness::FsLab& lab, const char* what) {
+  if (lab.kernfs() == nullptr) {
+    return;  // a baseline: no KernFS
+  }
+  const std::string bad = lab.kernfs()->CheckAllocTableForTest();
+  if (!bad.empty()) {
+    fprintf(stderr, "%s: allocation table: %s\n", what, bad.c_str());
+    g_failed = true;
+  }
+}
 
 double MeasureChmod(FsKind kind, uint64_t nfiles, uint64_t file_bytes) {
   harness::FsLab lab(kind, {.dev_bytes = 1ull << 30});
@@ -40,10 +60,13 @@ double MeasureChmod(FsKind kind, uint64_t nfiles, uint64_t file_bytes) {
     auto st = fs->Chmod(kCred, "/dir/f" + std::to_string(i), 0600);
     if (!st.ok()) {
       fprintf(stderr, "chmod failed: %s\n", common::ErrName(st.error()));
+      g_failed = true;
       return 0;
     }
   }
-  return static_cast<double>(sw.ElapsedNs()) / nfiles;
+  const double ns = static_cast<double>(sw.ElapsedNs()) / nfiles;
+  CheckAllocTable(lab, "chmod");
+  return ns;
 }
 
 double MeasureRename(FsKind kind, uint64_t nfiles, uint64_t file_bytes) {
@@ -72,11 +95,14 @@ double MeasureRename(FsKind kind, uint64_t nfiles, uint64_t file_bytes) {
       fprintf(stderr, "rename failed: %s/%s\n",
               common::ErrName(s1.ok() ? common::Err::kOk : s1.error()),
               common::ErrName(s2.ok() ? common::Err::kOk : s2.error()));
+      g_failed = true;
       return 0;
     }
     ops += 2;
   }
-  return static_cast<double>(sw.ElapsedNs()) / ops;
+  const double ns = static_cast<double>(sw.ElapsedNs()) / ops;
+  CheckAllocTable(lab, "rename");
+  return ns;
 }
 
 }  // namespace
@@ -107,5 +133,5 @@ int main() {
   printf("Paper (Table 9): chmod 1,830 / 23,342 / 675; rename 6,261 / 28,264 / 1,681.\n");
   printf("Shape: ZoFS-1coffer fastest (pure user space), NOVA in between (one kernel\n");
   printf("call), ZoFS an order of magnitude slower (page-by-page ownership rewrite).\n");
-  return 0;
+  return g_failed ? 1 : 0;
 }

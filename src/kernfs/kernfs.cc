@@ -34,6 +34,47 @@ uint64_t SumRuns(const std::map<uint64_t, uint64_t>& runs) {
   return n;
 }
 
+// Merges adjacent entries of a coffer's run map.
+void CoalesceRuns(std::map<uint64_t, uint64_t>* runs) {
+  auto it = runs->begin();
+  while (it != runs->end()) {
+    auto next = std::next(it);
+    if (next != runs->end() && it->first + it->second == next->first) {
+      it->second += next->second;
+      runs->erase(next);
+    } else {
+      ++it;
+    }
+  }
+}
+
+// Carves run `r` out of a coffer's run map, keeping the head and tail of
+// every entry it overlaps. Enlarge grants are never coalesced, so one run
+// may span adjacent entries.
+void CarveRun(std::map<uint64_t, uint64_t>* runs, const PageRun& r) {
+  const uint64_t end = r.start_page + r.len;
+  auto it = runs->upper_bound(r.start_page);
+  if (it != runs->begin() && std::prev(it)->first + std::prev(it)->second > r.start_page) {
+    --it;
+  }
+  while (it != runs->end() && it->first < end) {
+    const uint64_t start = it->first;
+    const uint64_t stop = start + it->second;
+    it = runs->erase(it);
+    if (start < r.start_page) {
+      (*runs)[start] = r.start_page - start;
+    }
+    if (stop > end) {
+      (*runs)[end] = stop - end;
+    }
+  }
+}
+
+// The elements the tag rule walks: run-map entries, runs and single pages.
+PageRun AsRun(const std::pair<const uint64_t, uint64_t>& e) { return PageRun{e.first, e.second}; }
+PageRun AsRun(const PageRun& r) { return r; }
+PageRun AsRun(uint64_t page) { return PageRun{page, 1}; }
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -199,18 +240,8 @@ KernFs::KernFs(nvm::NvmDevice* dev) : dev_(dev) {
       info.runs[start] = len;
     }
   }
-  // Coalesce adjacent runs inside each coffer.
   for (auto& [id, info] : coffers_) {
-    auto it = info.runs.begin();
-    while (it != info.runs.end()) {
-      auto next = std::next(it);
-      if (next != info.runs.end() && it->first + it->second == next->first) {
-        it->second += next->second;
-        info.runs.erase(next);
-      } else {
-        ++it;
-      }
-    }
+    CoalesceRuns(&info.runs);
   }
 }
 
@@ -422,21 +453,91 @@ void KernFs::SetPageKeyLocked(Process& proc, uint64_t page, uint8_t tag) {
   proc.page_keys_[page] = tag;
 }
 
-void KernFs::TagPagesForProcess(Process& proc, const CofferInfo& c, uint8_t key) {
-  // Coffer root pages are mapped read-only into user space.
-  for (const auto& [start, len] : c.runs) {
-    for (uint64_t p = start; p < start + len; p++) {
-      SetPageKeyLocked(proc, p,
-                       (p == c.root_page) ? static_cast<uint8_t>(key | mpk::kPageReadOnly) : key);
+// ---------------------------------------------------------------------------
+// Page ownership: the tag rule and the run edit (DESIGN.md §kernfs)
+
+template <typename Runs>
+void KernFs::TagLocked(Process& proc, const CofferInfo* owner, const Runs& runs) {
+  // An evicted class's key reads kUnmapped, and so does no mapping at all;
+  // the read-only bit leaves kUnmapped as it is.
+  static_assert((mpk::kUnmapped | mpk::kPageReadOnly) == mpk::kUnmapped);
+  auto it = owner == nullptr ? proc.mappings_.end() : proc.mappings_.find(owner->id);
+  const uint8_t key = it == proc.mappings_.end() ? mpk::kUnmapped
+                                                 : EffectiveKeyLocked(proc, it->second);
+  const auto root_tag = static_cast<uint8_t>(key | mpk::kPageReadOnly);
+  const uint8_t tag = it != proc.mappings_.end() && it->second.writable ? key : root_tag;
+  const uint64_t root_page = owner == nullptr ? 0 : owner->root_page;
+  for (const auto& e : runs) {
+    const PageRun r = AsRun(e);
+    for (uint64_t p = r.start_page; p < r.start_page + r.len; p++) {
+      SetPageKeyLocked(proc, p, p == root_page ? root_tag : tag);
     }
   }
 }
 
-void KernFs::UntagPagesForProcess(Process& proc, const CofferInfo& c) {
-  for (const auto& [start, len] : c.runs) {
-    for (uint64_t p = start; p < start + len; p++) {
-      SetPageKeyLocked(proc, p, mpk::kUnmapped);
+Status KernFs::CheckRunsLocked(const CofferInfo& c, std::span<const PageRun> runs) {
+  for (const PageRun& r : runs) {
+    if (!RunInBounds(sb_->num_pages, r)) {
+      return Err::kInval;
     }
+    for (uint64_t p = r.start_page; p < r.start_page + r.len; p++) {
+      if (ReadEntry(p).coffer_id != c.id || p == c.root_page) {
+        return Err::kInval;
+      }
+    }
+  }
+  if (runs.size() > 1) {
+    // Overlapping runs would hand the same pages over twice.
+    std::vector<PageRun> sorted(runs.begin(), runs.end());
+    std::sort(sorted.begin(), sorted.end(),
+              [](const PageRun& a, const PageRun& b) { return a.start_page < b.start_page; });
+    for (size_t i = 1; i < sorted.size(); i++) {
+      if (sorted[i - 1].start_page + sorted[i - 1].len > sorted[i].start_page) {
+        return Err::kInval;
+      }
+    }
+  }
+  return common::OkStatus();
+}
+
+void KernFs::MoveRunsLocked(CofferInfo* from, CofferInfo* to, std::span<const PageRun> runs) {
+  for (const PageRun& r : runs) {
+    if (from != nullptr) {
+      CarveRun(&from->runs, r);
+    }
+    if (to != nullptr) {
+      to->runs[r.start_page] = r.len;
+    }
+  }
+  // Access is revoked before the pages change owner on NVM.
+  for (const CofferInfo* c : {from, to}) {
+    if (c != nullptr) {
+      for (Process* p : c->mapped_by) {
+        TagLocked(*p, to, runs);
+      }
+    }
+  }
+  if (from == nullptr) {
+    return;
+  }
+  for (const PageRun& r : runs) {
+    if (to != nullptr) {
+      SetRunOwner(r, to->id);
+    } else {
+      FreeRun(r);
+    }
+  }
+}
+
+void KernFs::PersistCofferSizeLocked(std::initializer_list<CofferInfo*> coffers) {
+  auto size_off = [](const CofferInfo* c) {
+    return c->root_page * nvm::kPageSize + offsetof(CofferRoot, num_pages);
+  };
+  for (CofferInfo* c : coffers) {
+    dev_->Store64(size_off(c), SumRuns(c->runs));
+  }
+  for (CofferInfo* c : coffers) {
+    dev_->PersistRange(size_off(c), 8);
   }
 }
 
@@ -448,53 +549,25 @@ mpk::ProtClass KernFs::ClassOfLocked(CofferInfo& c) {
   return mpk::ProtClass{root->uid, root->gid, root->mode};
 }
 
-void KernFs::TagCofferLocked(Process& proc, const CofferInfo& c, uint8_t key, bool writable) {
-  if (writable) {
-    TagPagesForProcess(proc, c, key);
-    return;
-  }
-  // Read-only mappings are write-protected at "page table" level as well.
-  const uint8_t tag = static_cast<uint8_t>(key | mpk::kPageReadOnly);
-  for (const auto& [start, len] : c.runs) {
-    for (uint64_t p = start; p < start + len; p++) {
-      SetPageKeyLocked(proc, p, tag);
-    }
-  }
-}
-
 uint8_t KernFs::EnsureClassKeyLocked(Process& proc, uint16_t slot) {
   uint16_t evicted = mpk::KeyClassTable::kNoSlot;
   bool fresh = false;
   const uint8_t key = proc.key_classes_.EnsureKey(slot, &evicted, &fresh);
-  if (evicted != mpk::KeyClassTable::kNoSlot) {
-    // LRU key-window eviction: only the victim class's key assignment moves.
-    // Its mappings, refcounts and the µFS session caches stay intact; its
-    // pages go dark (kUnmapped) until the next access faults the class back
-    // in through CofferRetag. No unmap, no session-epoch bump.
-    uint64_t pages = 0;
-    for (uint32_t cid : proc.key_classes_.Members(evicted)) {
-      CofferInfo* vc = FindCoffer(cid);
-      if (vc == nullptr) {
-        continue;
-      }
-      UntagPagesForProcess(proc, *vc);
-      pages += SumRuns(vc->runs);
+  // LRU key-window eviction moves only the victim class's key assignment:
+  // its mappings, refcounts and the µFS session caches stay intact, and its
+  // pages go dark (kUnmapped) until the next access faults the class back in
+  // through CofferRetag. No unmap, no session-epoch bump. A fresh assignment
+  // (the fault-in) retags every member coffer under the class key.
+  for (const uint16_t retag : {evicted, fresh ? slot : mpk::KeyClassTable::kNoSlot}) {
+    if (retag == mpk::KeyClassTable::kNoSlot) {
+      continue;
     }
-    mpk::internal::NoteRetagPages(pages);
-  }
-  if (fresh) {
-    // Fault-in: the class regained a key; every member coffer already mapped
-    // is retagged under it (per its own writability).
     uint64_t pages = 0;
-    for (uint32_t cid : proc.key_classes_.Members(slot)) {
-      auto mit = proc.mappings_.find(cid);
-      CofferInfo* mc = FindCoffer(cid);
-      if (mit == proc.mappings_.end() || mc == nullptr) {
-        continue;
+    for (uint32_t cid : proc.key_classes_.Members(retag)) {
+      if (const CofferInfo* c = FindCoffer(cid); c != nullptr) {
+        TagLocked(proc, c, c->runs);
+        pages += SumRuns(c->runs);
       }
-      mit->second.key = key;
-      TagCofferLocked(proc, *mc, key, mit->second.writable);
-      pages += SumRuns(mc->runs);
     }
     mpk::internal::NoteRetagPages(pages);
   }
@@ -517,13 +590,34 @@ void KernFs::MigrateClassLocked(Process& proc, CofferInfo& c, const mpk::ProtCla
   proc.key_classes_.Release(m.class_slot, c.id);
   m.class_slot = ns;
   proc.key_classes_.Retain(ns, c.id);
-  m.key = EnsureClassKeyLocked(proc, ns);
-  TagCofferLocked(proc, c, m.key, m.writable);
+  EnsureClassKeyLocked(proc, ns);
+  TagLocked(proc, &c, c.runs);
   proc.class_gen_.fetch_add(1, std::memory_order_release);
 }
 
 uint8_t KernFs::EffectiveKeyLocked(const Process& proc, const Process::Mapping& m) {
   return proc.key_classes_.PublishedKey(m.class_slot);
+}
+
+uint64_t KernFs::WriteRootLocked(uint32_t id, const std::string& path, uint32_t type,
+                                 uint16_t mode, uint32_t uid, uint32_t gid, uint64_t num_pages,
+                                 uint64_t root_inode_off, uint64_t custom_off) {
+  const uint64_t root_off = static_cast<uint64_t>(id) * nvm::kPageSize;
+  CofferRoot root{};
+  root.magic = kCofferMagic;
+  root.coffer_id = id;
+  root.type = type;
+  root.uid = uid;
+  root.gid = gid;
+  root.mode = mode;
+  root.root_inode_off = root_inode_off;
+  root.custom_off = custom_off;
+  root.num_pages = num_pages;
+  root.path_len = static_cast<uint16_t>(path.size());
+  memcpy(root.path, path.c_str(), path.size() + 1);
+  dev_->StoreBytes(root_off, &root, sizeof(root));
+  dev_->PersistRange(root_off, sizeof(root));
+  return root_off;
 }
 
 uint64_t KernFs::PersistRootPath(CofferRoot* root, const std::string& path) {
@@ -749,7 +843,7 @@ uint64_t KernFs::ReclaimProcessChannels(uint32_t pid, bool* all_ok) {
         }
       }
       if (changed) {
-        PersistCofferSizeLocked(c);
+        PersistCofferSizeLocked({c});
       }
     }
   }
@@ -825,20 +919,6 @@ Result<uint32_t> KernFs::DoCofferNew(Process& proc, const std::string& path, uin
   }
   dev_->Sfence();
 
-  // Lay out the root page.
-  const uint64_t root_off = static_cast<uint64_t>(id) * nvm::kPageSize;
-  CofferRoot root{};
-  root.magic = kCofferMagic;
-  root.coffer_id = id;
-  root.type = type;
-  root.uid = uid;
-  root.gid = gid;
-  root.mode = mode;
-  root.flags = 0;
-  root.num_pages = 1 + extra_pages;
-  root.path_len = static_cast<uint16_t>(path.size());
-  memcpy(root.path, path.c_str(), path.size() + 1);
-
   // The µFS pages: first extra page is the root-file inode, second is the
   // custom page (Figure 5). Collect the first two non-root pages.
   uint64_t mu_pages[2] = {0, 0};
@@ -851,12 +931,9 @@ Result<uint32_t> KernFs::DoCofferNew(Process& proc, const std::string& path, uin
       mu_pages[found++] = p;
     }
   }
-  root.root_inode_off = found >= 1 ? mu_pages[0] * nvm::kPageSize : 0;
-  root.custom_off = found >= 2 ? mu_pages[1] * nvm::kPageSize : 0;
-
-  dev_->StoreBytes(root_off, &root, sizeof(root));
-  dev_->PersistRange(root_off, sizeof(root));
-
+  const uint64_t root_off = WriteRootLocked(id, path, type, mode, uid, gid, 1 + extra_pages,
+                                            found >= 1 ? mu_pages[0] * nvm::kPageSize : 0,
+                                            found >= 2 ? mu_pages[1] * nvm::kPageSize : 0);
   RETURN_IF_ERROR(PathMapInsert(path, root_off));
 
   CofferInfo info;
@@ -918,26 +995,10 @@ Result<std::vector<PageRun>> KernFs::DoCofferEnlarge(Process& proc, uint32_t cof
   RETURN_IF_ERROR(CheckMappedWritable(proc, coffer_id));
   ASSIGN_OR_RETURN(runs, AllocPages(n_pages, coffer_id));
 
-  // Record ownership and extend mappings in every process that has the
+  // Record ownership and extend the mappings of every process that has the
   // coffer mapped (the kernel updating page tables).
-  for (const PageRun& r : runs) {
-    auto [it, inserted] = c->runs.emplace(r.start_page, r.len);
-    if (!inserted) {
-      it->second += r.len;
-    }
-    for (Process* p : c->mapped_by) {
-      // Effective key: kUnmapped while the mapper's class is key-window
-      // evicted — the pages stay dark and the next fault-in retags them.
-      const uint8_t key = EffectiveKeyLocked(*p, p->mappings_[coffer_id]);
-      for (uint64_t pg = r.start_page; pg < r.start_page + r.len; pg++) {
-        SetPageKeyLocked(*p, pg, key);
-      }
-    }
-  }
-  CofferRoot* root = RootOf(*c);
-  uint64_t root_off = dev_->OffsetOf(root);
-  dev_->Store64(root_off + offsetof(CofferRoot, num_pages), SumRuns(c->runs));
-  dev_->PersistRange(root_off + offsetof(CofferRoot, num_pages), 8);
+  MoveRunsLocked(nullptr, c, runs);
+  PersistCofferSizeLocked({c});
   return runs;
 }
 
@@ -947,46 +1008,9 @@ Status KernFs::CofferShrink(Process& proc, uint32_t coffer_id, const std::vector
 }
 
 Status KernFs::ShrinkRunLocked(CofferInfo* c, const PageRun& r) {
-  if (!RunInBounds(sb_->num_pages, r)) {
-    return Err::kInval;
-  }
-  // Validate ownership of every page in the run.
-  for (uint64_t p = r.start_page; p < r.start_page + r.len; p++) {
-    if (ReadEntry(p).coffer_id != c->id || p == c->root_page) {
-      return Err::kInval;
-    }
-  }
-  // Carve the run out of the volatile owner map.
-  auto it = c->runs.upper_bound(r.start_page);
-  if (it == c->runs.begin()) {
-    return Err::kInval;
-  }
-  --it;
-  uint64_t run_start = it->first, run_len = it->second;
-  if (r.start_page < run_start || r.start_page + r.len > run_start + run_len) {
-    return Err::kInval;
-  }
-  c->runs.erase(it);
-  if (r.start_page > run_start) {
-    c->runs[run_start] = r.start_page - run_start;
-  }
-  if (r.start_page + r.len < run_start + run_len) {
-    c->runs[r.start_page + r.len] = run_start + run_len - (r.start_page + r.len);
-  }
-  for (Process* p : c->mapped_by) {
-    for (uint64_t pg = r.start_page; pg < r.start_page + r.len; pg++) {
-      SetPageKeyLocked(*p, pg, mpk::kUnmapped);
-    }
-  }
-  FreeRun(r);
+  RETURN_IF_ERROR(CheckRunsLocked(*c, {&r, 1}));
+  MoveRunsLocked(c, nullptr, {&r, 1});
   return common::OkStatus();
-}
-
-void KernFs::PersistCofferSizeLocked(CofferInfo* c) {
-  CofferRoot* root = RootOf(*c);
-  uint64_t root_off = dev_->OffsetOf(root);
-  dev_->Store64(root_off + offsetof(CofferRoot, num_pages), SumRuns(c->runs));
-  dev_->PersistRange(root_off + offsetof(CofferRoot, num_pages), 8);
 }
 
 Status KernFs::DoCofferShrink(Process& proc, uint32_t coffer_id,
@@ -1000,7 +1024,7 @@ Status KernFs::DoCofferShrink(Process& proc, uint32_t coffer_id,
   for (const PageRun& r : runs) {
     RETURN_IF_ERROR(ShrinkRunLocked(c, r));
   }
-  PersistCofferSizeLocked(c);
+  PersistCofferSizeLocked({c});
   return common::OkStatus();
 }
 
@@ -1040,15 +1064,14 @@ Result<MapInfo> KernFs::DoCofferMap(Process& proc, uint32_t coffer_id, bool writ
     Process::Mapping& m = it->second;
     // Already mapped: a remap doubles as the key-window fault-in, and
     // upgrading read-only -> writable re-tags.
-    m.key = EnsureClassKeyLocked(proc, m.class_slot);
+    info.key = EnsureClassKeyLocked(proc, m.class_slot);
     if (writable && !m.writable) {
       if (!vfs::PermitsAccess(proc.cred(), root->uid, root->gid, root->mode, true, true)) {
         return Err::kAcces;
       }
       m.writable = true;
-      TagCofferLocked(proc, *c, m.key, /*writable=*/true);
+      TagLocked(proc, c, c->runs);
     }
-    info.key = m.key;
     info.writable = m.writable;
     info.class_slot = m.class_slot;
     return info;
@@ -1061,12 +1084,11 @@ Result<MapInfo> KernFs::DoCofferMap(Process& proc, uint32_t coffer_id, bool writ
   if (slot == mpk::KeyClassTable::kNoSlot) {
     return Err::kNoKeys;
   }
-  const uint8_t key = EnsureClassKeyLocked(proc, slot);
+  info.key = EnsureClassKeyLocked(proc, slot);
   proc.key_classes_.Retain(slot, coffer_id);
-  proc.mappings_[coffer_id] = Process::Mapping{key, writable, slot};
+  proc.mappings_[coffer_id] = Process::Mapping{writable, slot};
   c->mapped_by.insert(&proc);
-  TagCofferLocked(proc, *c, key, writable);
-  info.key = key;
+  TagLocked(proc, c, c->runs);
   info.class_slot = slot;
   return info;
 }
@@ -1076,15 +1098,14 @@ void KernFs::UnmapLocked(Process& proc, uint32_t coffer_id) {
   if (it == proc.mappings_.end()) {
     return;
   }
-  CofferInfo* c = FindCoffer(coffer_id);
-  if (c != nullptr) {
-    UntagPagesForProcess(proc, *c);
-    c->mapped_by.erase(&proc);
-  }
   // Release is idempotent per (slot, coffer): the reaper racing a queued
   // retag for a dead tenant drops each mapping's refcount exactly once.
   proc.key_classes_.Release(it->second.class_slot, coffer_id);
   proc.mappings_.erase(it);
+  if (CofferInfo* c = FindCoffer(coffer_id); c != nullptr) {
+    c->mapped_by.erase(&proc);
+    TagLocked(proc, c, c->runs);  // no mapping left: every page goes dark
+  }
 }
 
 Status KernFs::CofferUnmap(Process& proc, uint32_t coffer_id) {
@@ -1121,8 +1142,7 @@ Result<MapInfo> KernFs::DoCofferRetag(Process& proc, uint32_t coffer_id) {
   info.custom_off = root->custom_off;
   info.class_slot = it->second.class_slot;
   info.class_gen = proc.class_gen_.load(std::memory_order_relaxed);
-  it->second.key = EnsureClassKeyLocked(proc, it->second.class_slot);
-  info.key = it->second.key;
+  info.key = EnsureClassKeyLocked(proc, it->second.class_slot);
   return info;
 }
 
@@ -1225,80 +1245,23 @@ Result<uint32_t> KernFs::CofferSplit(Process& proc, uint32_t src_id,
   if (PathMapLookup(new_path).ok()) {
     return Err::kExist;
   }
-  // Validate that every page to move belongs to src and none is the root.
-  uint64_t moved = 0;
-  for (const PageRun& r : pages) {
-    if (!RunInBounds(sb_->num_pages, r)) {
-      return Err::kInval;
-    }
-    for (uint64_t p = r.start_page; p < r.start_page + r.len; p++) {
-      if (ReadEntry(p).coffer_id != src_id || p == src->root_page) {
-        return Err::kInval;
-      }
-    }
-    moved += r.len;
-  }
+  RETURN_IF_ERROR(CheckRunsLocked(*src, pages));
 
   // New root page.
   ASSIGN_OR_RETURN(root_runs, AllocPages(1, 0));
-  uint32_t new_id = static_cast<uint32_t>(root_runs[0].start_page);
+  const uint32_t new_id = static_cast<uint32_t>(root_runs[0].start_page);
   WriteEntry(new_id, new_id, 1);
   dev_->PersistRange(sb_->alloc_table_off + new_id * sizeof(AllocEntry), sizeof(AllocEntry));
 
-  // Move ownership page-by-page (the expensive part, by design).
-  for (const PageRun& r : pages) {
-    SetRunOwner(r, new_id);
-    // Carve out of src's volatile runs.
-    auto it = src->runs.upper_bound(r.start_page);
-    --it;
-    uint64_t run_start = it->first, run_len = it->second;
-    src->runs.erase(it);
-    if (r.start_page > run_start) {
-      src->runs[run_start] = r.start_page - run_start;
-    }
-    if (r.start_page + r.len < run_start + run_len) {
-      src->runs[r.start_page + r.len] = run_start + run_len - (r.start_page + r.len);
-    }
-  }
+  // Move ownership page-by-page (the expensive part, by design). Processes
+  // mapping src lose access to the moved pages.
+  CofferInfo info{.id = new_id, .root_page = new_id, .runs = {{new_id, 1}}, .mapped_by = {}};
+  MoveRunsLocked(src, &info, pages);
 
-  const uint64_t root_off = static_cast<uint64_t>(new_id) * nvm::kPageSize;
-  CofferRoot nr{};
-  nr.magic = kCofferMagic;
-  nr.coffer_id = new_id;
-  nr.type = type;
-  nr.uid = uid;
-  nr.gid = gid;
-  nr.mode = mode;
-  nr.num_pages = 1 + moved;
-  nr.root_inode_off = new_root_inode_off;
-  nr.custom_off = new_custom_off;
-  nr.path_len = static_cast<uint16_t>(new_path.size());
-  memcpy(nr.path, new_path.c_str(), new_path.size() + 1);
-  dev_->StoreBytes(root_off, &nr, sizeof(nr));
-  dev_->PersistRange(root_off, sizeof(nr));
+  const uint64_t root_off = WriteRootLocked(new_id, new_path, type, mode, uid, gid,
+                                            SumRuns(info.runs), new_root_inode_off, new_custom_off);
   RETURN_IF_ERROR(PathMapInsert(new_path, root_off));
-
-  CofferInfo info;
-  info.id = new_id;
-  info.root_page = new_id;
-  info.runs[new_id] = 1;
-  for (const PageRun& r : pages) {
-    info.runs[r.start_page] = r.len;
-  }
-  // Update src bookkeeping.
-  CofferRoot* sroot = RootOf(*src);
-  uint64_t sroot_off = dev_->OffsetOf(sroot);
-  dev_->Store64(sroot_off + offsetof(CofferRoot, num_pages), SumRuns(src->runs));
-  dev_->PersistRange(sroot_off + offsetof(CofferRoot, num_pages), 8);
-
-  // Processes mapping src lose access to the moved pages.
-  for (Process* p : src->mapped_by) {
-    for (const PageRun& r : pages) {
-      for (uint64_t pg = r.start_page; pg < r.start_page + r.len; pg++) {
-        SetPageKeyLocked(*p, pg, mpk::kUnmapped);
-      }
-    }
-  }
+  PersistCofferSizeLocked({src});
   coffers_[new_id] = std::move(info);
   return new_id;
 }
@@ -1314,52 +1277,9 @@ Status KernFs::CofferMovePages(Process& proc, uint32_t src_id, uint32_t dst_id,
   }
   RETURN_IF_ERROR(CheckMappedWritable(proc, src_id));
   RETURN_IF_ERROR(CheckMappedWritable(proc, dst_id));
-  for (const PageRun& r : pages) {
-    if (!RunInBounds(sb_->num_pages, r)) {
-      return Err::kInval;
-    }
-    for (uint64_t p = r.start_page; p < r.start_page + r.len; p++) {
-      if (ReadEntry(p).coffer_id != src_id || p == src->root_page) {
-        return Err::kInval;
-      }
-    }
-  }
-  for (const PageRun& r : pages) {
-    SetRunOwner(r, dst_id);
-    auto it = src->runs.upper_bound(r.start_page);
-    --it;
-    uint64_t run_start = it->first, run_len = it->second;
-    src->runs.erase(it);
-    if (r.start_page > run_start) {
-      src->runs[run_start] = r.start_page - run_start;
-    }
-    if (r.start_page + r.len < run_start + run_len) {
-      src->runs[r.start_page + r.len] = run_start + run_len - (r.start_page + r.len);
-    }
-    dst->runs[r.start_page] = r.len;
-    // Page-key updates: src mappers lose the pages, dst mappers gain them.
-    for (Process* p : src->mapped_by) {
-      for (uint64_t pg = r.start_page; pg < r.start_page + r.len; pg++) {
-        SetPageKeyLocked(*p, pg, mpk::kUnmapped);
-      }
-    }
-    for (Process* p : dst->mapped_by) {
-      const Process::Mapping& m = p->mappings_[dst_id];
-      const uint8_t key = EffectiveKeyLocked(*p, m);
-      uint8_t tag = m.writable ? key : static_cast<uint8_t>(key | mpk::kPageReadOnly);
-      for (uint64_t pg = r.start_page; pg < r.start_page + r.len; pg++) {
-        SetPageKeyLocked(*p, pg, tag);
-      }
-    }
-  }
-  CofferRoot* sroot = RootOf(*src);
-  CofferRoot* droot = RootOf(*dst);
-  uint64_t soff = dev_->OffsetOf(sroot);
-  uint64_t doff = dev_->OffsetOf(droot);
-  dev_->Store64(soff + offsetof(CofferRoot, num_pages), SumRuns(src->runs));
-  dev_->Store64(doff + offsetof(CofferRoot, num_pages), SumRuns(dst->runs));
-  dev_->PersistRange(soff + offsetof(CofferRoot, num_pages), 8);
-  dev_->PersistRange(doff + offsetof(CofferRoot, num_pages), 8);
+  RETURN_IF_ERROR(CheckRunsLocked(*src, pages));
+  MoveRunsLocked(src, dst, pages);
+  PersistCofferSizeLocked({src, dst});
   return common::OkStatus();
 }
 
@@ -1389,41 +1309,21 @@ Result<uint64_t> KernFs::CofferMerge(Process& proc, uint32_t dst_id, uint32_t sr
   dev_->Store64(old_root_off, 0);
   dev_->PersistRange(old_root_off, 8);
 
-  // Transfer ownership page-by-page.
+  // Transfer ownership page-by-page. Everyone with dst mapped gains the
+  // transferred pages under dst's tag; everyone else loses them.
+  std::vector<PageRun> moved;
   for (const auto& [start, len] : src->runs) {
-    SetRunOwner(PageRun{start, len}, dst_id);
-    auto [it, inserted] = dst->runs.emplace(start, len);
-    if (!inserted) {
-      it->second = std::max(it->second, len);
-    }
+    moved.push_back(PageRun{start, len});
   }
+  MoveRunsLocked(src, dst, moved);
+  PersistCofferSizeLocked({dst});
 
-  uint64_t droot_off = dev_->OffsetOf(droot);
-  dev_->Store64(droot_off + offsetof(CofferRoot, num_pages), SumRuns(dst->runs));
-  dev_->PersistRange(droot_off + offsetof(CofferRoot, num_pages), 8);
-
-  // Fix mappings: everyone who had src mapped loses it; everyone with dst
-  // mapped gains the transferred pages under dst's effective key.
+  // Everyone who had src mapped loses the mapping.
   for (Process* p : src->mapped_by) {
     auto it = p->mappings_.find(src_id);
     if (it != p->mappings_.end()) {
       p->key_classes_.Release(it->second.class_slot, src_id);
       p->mappings_.erase(it);
-    }
-    for (const auto& [start, len] : src->runs) {
-      for (uint64_t pg = start; pg < start + len; pg++) {
-        SetPageKeyLocked(*p, pg, mpk::kUnmapped);
-      }
-    }
-  }
-  for (Process* p : dst->mapped_by) {
-    const Process::Mapping& m = p->mappings_[dst_id];
-    const uint8_t key = EffectiveKeyLocked(*p, m);
-    uint8_t tag = m.writable ? key : static_cast<uint8_t>(key | mpk::kPageReadOnly);
-    for (const auto& [start, len] : src->runs) {
-      for (uint64_t pg = start; pg < start + len; pg++) {
-        SetPageKeyLocked(*p, pg, tag);
-      }
     }
   }
   coffers_.erase(src_id);
@@ -1482,37 +1382,26 @@ Result<uint64_t> KernFs::CofferRecoverEnd(Process& proc, uint32_t coffer_id,
     in_use.insert(root->custom_off / nvm::kPageSize);
   }
 
-  // Reclaim owned pages the µFS did not report.
+  // Reclaim owned pages the µFS did not report, entry by entry; the kept
+  // pages then form maximal runs.
   uint64_t reclaimed = 0;
-  std::map<uint64_t, uint64_t> new_runs;
+  std::vector<PageRun> freed;
   for (const auto& [start, len] : c->runs) {
-    uint64_t p = start;
-    while (p < start + len) {
+    for (uint64_t p = start; p < start + len;) {
       if (in_use.count(p)) {
-        // Extend or start a kept run.
-        auto it = new_runs.rbegin();
-        if (it != new_runs.rend() && it->first + it->second == p) {
-          it->second++;
-        } else {
-          new_runs[p] = 1;
-        }
         p++;
-      } else {
-        uint64_t free_start = p;
-        while (p < start + len && !in_use.count(p)) {
-          p++;
-        }
-        FreeRun(PageRun{free_start, p - free_start});
-        for (Process* pr : c->mapped_by) {
-          for (uint64_t pg = free_start; pg < p; pg++) {
-            SetPageKeyLocked(*pr, pg, mpk::kUnmapped);
-          }
-        }
-        reclaimed += p - free_start;
+        continue;
       }
+      const uint64_t free_start = p;
+      while (p < start + len && !in_use.count(p)) {
+        p++;
+      }
+      freed.push_back(PageRun{free_start, p - free_start});
+      reclaimed += p - free_start;
     }
   }
-  c->runs = std::move(new_runs);
+  MoveRunsLocked(c, nullptr, freed);
+  CoalesceRuns(&c->runs);
 
   uint64_t root_off = dev_->OffsetOf(root);
   dev_->Store64(root_off + offsetof(CofferRoot, num_pages), SumRuns(c->runs));
@@ -1544,31 +1433,25 @@ Status KernFs::CofferRename(Process& proc, uint32_t coffer_id, const std::string
   RETURN_IF_ERROR(PathMapInsert(new_path, dev_->OffsetOf(root)));
 
   // Rewrite descendants' stored paths (their coffer paths embed the prefix).
-  std::string old_prefix = old_path == "/" ? "/" : old_path + "/";
-  std::string new_prefix = new_path == "/" ? "/" : new_path + "/";
-  for (auto& [id, info] : coffers_) {
-    if (id == coffer_id) {
-      continue;
-    }
-    CofferRoot* r = RootOf(info);
-    std::string p = r->path;
-    if (p.size() > old_prefix.size() && p.compare(0, old_prefix.size(), old_prefix) == 0) {
-      std::string np = new_prefix + p.substr(old_prefix.size());
-      PathMapErase(p);
-      PersistRootPath(r, np);
-      RETURN_IF_ERROR(PathMapInsert(np, dev_->OffsetOf(r)));
-    }
-  }
-  return common::OkStatus();
+  return RewritePathsLocked(old_path, new_path, coffer_id);
 }
 
 Status KernFs::CofferFixupPaths(Process& proc, const std::string& old_prefix,
                                 const std::string& new_prefix) {
   KernelEntry enter(crossing_ns_);
   common::MutexLock lk(&mu_);
-  std::string op = old_prefix.back() == '/' ? old_prefix : old_prefix + "/";
-  std::string np = new_prefix.back() == '/' ? new_prefix : new_prefix + "/";
+  return RewritePathsLocked(old_prefix, new_prefix, /*except_id=*/0);  // no coffer has id 0
+}
+
+Status KernFs::RewritePathsLocked(const std::string& old_prefix, const std::string& new_prefix,
+                                  uint32_t except_id) {
+  auto dir = [](const std::string& p) { return !p.empty() && p.back() == '/' ? p : p + "/"; };
+  const std::string op = dir(old_prefix);
+  const std::string np = dir(new_prefix);
   for (auto& [id, info] : coffers_) {
+    if (id == except_id) {
+      continue;
+    }
     CofferRoot* r = RootOf(info);
     std::string p = r->path;
     if (p.size() > op.size() && p.compare(0, op.size(), op) == 0) {
@@ -1661,21 +1544,19 @@ Status KernFs::FileMunmap(Process& proc, uint32_t coffer_id,
   if (c == nullptr) {
     return Err::kNoEnt;
   }
-  auto it = proc.mappings_.find(coffer_id);
-  if (it == proc.mappings_.end()) {
+  if (!proc.HasMapped(coffer_id)) {
     return Err::kInval;
   }
-  // Effective key: kUnmapped while the class is evicted (the pages rejoin
-  // the coffer dark; the next fault-in walks the full run map anyway).
-  const uint8_t key = EffectiveKeyLocked(proc, it->second);
-  const uint8_t tag =
-      it->second.writable ? key : static_cast<uint8_t>(key | mpk::kPageReadOnly);
+  // FileMmap's check: the root page is never handed out, so it never comes
+  // back either.
   for (uint64_t pg : pages) {
-    if (pg >= sb_->num_pages || ReadEntry(pg).coffer_id != coffer_id) {
+    if (pg >= sb_->num_pages || ReadEntry(pg).coffer_id != coffer_id || pg == c->root_page) {
       return Err::kInval;
     }
-    SetPageKeyLocked(proc, pg, tag);
   }
+  // Back under the coffer's tag (kUnmapped while its class is evicted: the
+  // next fault-in walks the full run map anyway).
+  TagLocked(proc, c, pages);
   return common::OkStatus();
 }
 

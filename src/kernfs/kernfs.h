@@ -18,9 +18,11 @@
 #define SRC_KERNFS_KERNFS_H_
 
 #include <atomic>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -87,9 +89,8 @@ class Process {
       : pid_(pid), cred_(cred), page_keys_(num_pages, 0xff) {}
 
   struct Mapping {
-    uint8_t key;  // key at map/fault-in time (may go stale)
     bool writable;
-    uint16_t class_slot;
+    uint16_t class_slot;  // the class's key is its published assignment
   };
 
   uint32_t pid_;
@@ -353,7 +354,8 @@ class KernFs {
   // file layout; the kernel only validates ownership).
   Status FileMmap(Process& proc, uint32_t coffer_id, const std::vector<uint64_t>& pages,
                   bool writable);
-  // Restores the coffer-key tagging for previously mmapped pages.
+  // Restores the coffer-key tagging for previously mmapped pages. Like
+  // FileMmap, refuses (EINVAL) a page the coffer does not own and its root page.
   Status FileMunmap(Process& proc, uint32_t coffer_id, const std::vector<uint64_t>& pages);
   // Validates and "loads" an executable image from the given pages (the
   // paper's file_execve). The simulation checks the exec permission and
@@ -396,7 +398,9 @@ class KernFs {
   // but skips the caller-mapped-writable check — the corpse obviously cannot
   // hold a mapping requirement).
   Status ShrinkRunLocked(CofferInfo* c, const PageRun& r) REQUIRES(mu_);
-  void PersistCofferSizeLocked(CofferInfo* c) REQUIRES(mu_);
+  // Stores every coffer's num_pages (recomputed from its run map), then
+  // writes each back with its own fence.
+  void PersistCofferSizeLocked(std::initializer_list<CofferInfo*> coffers) REQUIRES(mu_);
 
   // Drains every channel registered for `pid` (kernel-side): unharvested
   // enlarge grants return to the free pool, queued-but-unexecuted requests
@@ -425,20 +429,36 @@ class KernFs {
   // The single sanctioned page-key store in the kernel (the direct-key-assign
   // lint funnel; see src/mpk/keyclass.h).
   void SetPageKeyLocked(Process& proc, uint64_t page, uint8_t tag) REQUIRES(mu_);
-  void TagPagesForProcess(Process& proc, const CofferInfo& c, uint8_t key) REQUIRES(mu_);
-  void UntagPagesForProcess(Process& proc, const CofferInfo& c) REQUIRES(mu_);
   void UnmapLocked(Process& proc, uint32_t coffer_id) REQUIRES(mu_);
+
+  // --- page ownership (DESIGN.md §kernfs; callers hold mu_) ---
+  // The tag rule: retags the pages of `runs` (run-map entries, PageRuns or
+  // single pages) in `proc`'s page-key table as pages of `owner` (nullptr:
+  // of no coffer). Without a mapping of `owner`, or while its class is
+  // key-window evicted, a page is kUnmapped; otherwise it carries the class
+  // key, plus kPageReadOnly on a read-only mapping and on the coffer root
+  // page. The mapping is looked up once per call. Every page tag in the
+  // kernel goes through here, except FileMmap's default-key tag.
+  template <typename Runs>
+  void TagLocked(Process& proc, const CofferInfo* owner, const Runs& runs) REQUIRES(mu_);
+  // The run edit's validation: every run in bounds, owned by `c` in the
+  // allocation table and not its root page, and no two runs overlapping.
+  Status CheckRunsLocked(const CofferInfo& c, std::span<const PageRun> runs) REQUIRES(mu_);
+  // The run edit: hands validated `runs` from `from` to `to` (nullptr on
+  // either side: the free pool). Carves them out of from's run map, inserts
+  // them into to's, retags them through the tag rule for every mapper of
+  // either coffer, and then rewrites the allocation table page by page to
+  // the new owner or frees them (a grant from AllocPages is already written).
+  // The caller persists the sizes (PersistCofferSizeLocked).
+  void MoveRunsLocked(CofferInfo* from, CofferInfo* to, std::span<const PageRun> runs)
+      REQUIRES(mu_);
 
   // --- protection classes (ISSUE 10; callers hold mu_) ---
   // The (uid, gid, perm) triple of the coffer root.
   mpk::ProtClass ClassOfLocked(CofferInfo& c) REQUIRES(mu_);
-  // Tags every page of `c` for `proc`: writable mappings keep the root page
-  // read-only; read-only mappings carry kPageReadOnly on every page.
-  void TagCofferLocked(Process& proc, const CofferInfo& c, uint8_t key,
-                       bool writable) REQUIRES(mu_);
   // Ensures the class behind `slot` holds a key; applies the LRU key-window
-  // eviction (retag the victim class's pages to kUnmapped) and, on a fresh
-  // assignment, retags this class's member pages. Returns the class's key.
+  // eviction (the victim class's pages go dark) and, on a fresh assignment,
+  // retags this class's member pages. Returns the class's key.
   uint8_t EnsureClassKeyLocked(Process& proc, uint16_t slot) REQUIRES(mu_);
   // Re-homes a mapped coffer whose root triple changed (chmod/chown): drops
   // the old class membership, joins the new class, retags and bumps the
@@ -448,7 +468,17 @@ class KernFs {
   // Current effective tag base for a mapping: the class key, or kUnmapped
   // while the class is key-window evicted.
   uint8_t EffectiveKeyLocked(const Process& proc, const Process::Mapping& m) REQUIRES(mu_);
+  // Writes and persists the root page of coffer `id` and returns its offset:
+  // the one root-page writer, for new and split coffers.
+  uint64_t WriteRootLocked(uint32_t id, const std::string& path, uint32_t type, uint16_t mode,
+                           uint32_t uid, uint32_t gid, uint64_t num_pages,
+                           uint64_t root_inode_off, uint64_t custom_off) REQUIRES(mu_);
   uint64_t PersistRootPath(CofferRoot* root, const std::string& path) REQUIRES(mu_);
+  // Rewrites the stored path of every coffer but `except_id` under
+  // `old_prefix` to live under `new_prefix` (CofferRename's descendants and
+  // CofferFixupPaths).
+  Status RewritePathsLocked(const std::string& old_prefix, const std::string& new_prefix,
+                            uint32_t except_id) REQUIRES(mu_);
 
   nvm::NvmDevice* dev_;
   Superblock* sb_;

@@ -1369,7 +1369,8 @@ Result<NodeRef> ZoFs::CreateNode(const std::string& path, uint32_t type, uint16_
   auto made = WithInode<Need::kLock>(
       pr.node, {kDirOnly, pr.node_gen},
       [&](Inode* dir, const MapInfo& pinfo) -> Result<NodeRef> {
-        if (auto found = DirFind(pcid, dir, leaf); found.ok()) {
+        auto found = DirFind(pcid, dir, leaf);
+        if (found.ok()) {
           const Dentry* d = *found;
           if (excl) {
             return Err::kExist;
@@ -1378,6 +1379,9 @@ Result<NodeRef> ZoFs::CreateNode(const std::string& path, uint32_t type, uint16_
             return Lookup(norm, true);
           }
           return NodeRef{d->coffer_id != 0 ? d->coffer_id : pcid, d->inode_off};
+        }
+        if (found.error() != Err::kNoEnt) {
+          return found.error();  // a damaged walk proves nothing about the name
         }
 
         const CofferRoot* croot = kfs_->RootPageOf(pcid);
@@ -1693,8 +1697,8 @@ Result<size_t> ZoFs::WriteLocked(NodeRef node, const MapInfo& info, Inode* ino, 
     const bool fresh_partial = chunk < nvm::kPageSize;
     uint64_t before = 1;  // only consulted for partial chunks / atomic mode
     if (fresh_partial || opts_.atomic_data) {
-      auto b = GetBlock(node.coffer_id, ino, blk);
-      before = b.ok() ? *b : 0;
+      ASSIGN_OR_RETURN(b, GetBlock(node.coffer_id, ino, blk));  // quarantined once, here
+      before = b;
     }
 
     if (opts_.atomic_data && before != 0) {
@@ -1902,6 +1906,10 @@ Result<bool> ZoFs::StageAppendData(uint32_t cid, const MapInfo& info, Inode* ino
   }
   if (st == nullptr) {
     st = CreateStage(cid, ino_off, off);
+    // The epoch's durability point declares the size line durable, so the
+    // line is the stage's from the start: an append that fails below still
+    // leaves it to write back (the line also holds the inode's lock words).
+    st->flush.Note(dev, ino_off + offsetof(Inode, size), 24);
   }
 
   CofferAllocator& alloc = AllocatorFor(cid, info);

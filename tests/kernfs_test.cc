@@ -77,6 +77,8 @@ TEST_F(KernFsTest, DuplicateCofferPathRejected) {
 
 TEST_F(KernFsTest, EnlargeGrantsTaggedPages) {
   uint32_t id = MakeCoffer("/big");
+  Process* reader = kfs_->CreateProcess(vfs::Cred{200, 200});
+  ASSERT_TRUE(kfs_->CofferMap(*reader, id, /*writable=*/false).ok());
   auto runs = kfs_->CofferEnlarge(*proc_, id, 100);
   ASSERT_TRUE(runs.ok());
   uint64_t total = 0;
@@ -90,6 +92,18 @@ TEST_F(KernFsTest, EnlargeGrantsTaggedPages) {
   EXPECT_EQ(total, 100u);
   EXPECT_EQ(kfs_->RootPageOf(id)->num_pages, 103u);
   EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
+
+  // The granted pages are read-only for the read-only mapper: a PKRU it
+  // forges to open its key for writes still cannot store to them.
+  reader->BindCurrentThread();
+  const uint8_t rkey = reader->KeyFor(id);
+  ASSERT_NE(rkey, mpk::kUnmapped);
+  const uint32_t saved = mpk::RdPkru();
+  mpk::WrPkru(mpk::PkruAllowOnly(rkey, /*writable=*/true));
+  EXPECT_THROW(dev_->Store64((*runs)[0].start_page * nvm::kPageSize, 0x5678),
+               mpk::ViolationError);
+  mpk::WrPkru(saved);
+  proc_->BindCurrentThread();
 }
 
 TEST_F(KernFsTest, ShrinkReturnsPages) {
@@ -206,7 +220,10 @@ TEST_F(KernFsTest, SplitMovesOwnership) {
   uint32_t id = MakeCoffer("/split");
   auto runs = kfs_->CofferEnlarge(*proc_, id, 16);
   ASSERT_TRUE(runs.ok());
-  PageRun move{(*runs)[0].start_page, 4};
+  // The moved run spans the coffer's last initial page and the first three
+  // pages of the adjacent grant: two entries of its run map.
+  ASSERT_EQ((*runs)[0].start_page, id + 3);
+  PageRun move{id + 2, 4};
   uint64_t root_inode = move.start_page * nvm::kPageSize;
   uint64_t custom = (move.start_page + 1) * nvm::kPageSize;
   auto new_id = kfs_->CofferSplit(*proc_, id, {move}, "/split/child", kernfs::kCofferTypeZofs,
@@ -221,7 +238,10 @@ TEST_F(KernFsTest, SplitMovesOwnership) {
   EXPECT_EQ(total, 5u);  // 4 moved + new root page
   EXPECT_EQ(kfs_->RootPageOf(*new_id)->root_inode_off, root_inode);
   EXPECT_TRUE(kfs_->CofferFind("/split/child").ok());
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
+  EXPECT_EQ(kfs_->CheckAllocTableForTest(), "");
+  // Deleting the source frees only what it still owns.
+  ASSERT_TRUE(kfs_->CofferDelete(*proc_, id).ok());
+  EXPECT_EQ(kfs_->CheckAllocTableForTest(), "");
 }
 
 TEST_F(KernFsTest, MergeRequiresMatchingPermission) {
@@ -244,17 +264,29 @@ TEST_F(KernFsTest, MergeRequiresMatchingPermission) {
 
 TEST_F(KernFsTest, MovePagesBetweenCoffers) {
   uint32_t a = MakeCoffer("/mva");
-  uint32_t b = MakeCoffer("/mvb");
   auto runs = kfs_->CofferEnlarge(*proc_, a, 8);
   ASSERT_TRUE(runs.ok());
-  ASSERT_TRUE(kfs_->CofferMovePages(*proc_, a, b, {(*runs)[0]}).ok());
+  uint32_t b = MakeCoffer("/mvb");
+  // The moved run spans a's two initial data pages and the first two pages
+  // of the adjacent grant: two entries of a's run map.
+  ASSERT_EQ((*runs)[0].start_page, a + 3);
+  // Overlapping runs would hand the same pages over twice: refused whole.
+  auto overlap = kfs_->CofferMovePages(*proc_, a, b, {PageRun{a + 1, 2}, PageRun{a + 2, 2}});
+  ASSERT_FALSE(overlap.ok());
+  EXPECT_EQ(overlap.error(), Err::kInval);
+  EXPECT_EQ(kfs_->CheckAllocTableForTest(), "");
+  const PageRun move{a + 1, 4};
+  ASSERT_TRUE(kfs_->CofferMovePages(*proc_, a, b, {move}).ok());
   auto bp = kfs_->PagesOf(b);
   uint64_t total = 0;
   for (const PageRun& r : *bp) {
     total += r.len;
   }
-  EXPECT_EQ(total, 3 + (*runs)[0].len);
-  EXPECT_TRUE(kfs_->CheckAllocTableForTest().empty());
+  EXPECT_EQ(total, 3 + move.len);
+  EXPECT_EQ(kfs_->CheckAllocTableForTest(), "");
+  // Deleting the source frees only what it still owns.
+  ASSERT_TRUE(kfs_->CofferDelete(*proc_, a).ok());
+  EXPECT_EQ(kfs_->CheckAllocTableForTest(), "");
 }
 
 TEST_F(KernFsTest, RecoverReclaimsUnreportedPages) {

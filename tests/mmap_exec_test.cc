@@ -126,6 +126,17 @@ TEST_F(MmapExecTest, MmapValidatesOwnership) {
   auto st = kfs_->FileMmap(*fs_->proc(), node.coffer_id, evil, false);
   ASSERT_FALSE(st.ok());
   EXPECT_EQ(st.error(), Err::kInval);
+
+  // FileMunmap refuses the file's own coffer root page the same way, and the
+  // root page stays read-only to the caller's writable mapping.
+  const std::vector<uint64_t> root = {node.coffer_id};
+  auto un = kfs_->FileMunmap(*fs_->proc(), node.coffer_id, root);
+  ASSERT_FALSE(un.ok());
+  EXPECT_EQ(un.error(), Err::kInval);
+  const uint8_t key = fs_->proc()->KeyFor(node.coffer_id);
+  ASSERT_NE(key, mpk::kUnmapped);
+  mpk::AccessWindow w(key, /*writable=*/true);
+  EXPECT_FALSE(mpk::ProbeAccess(node.coffer_id * nvm::kPageSize, 8, /*is_write=*/true));
 }
 
 }  // namespace

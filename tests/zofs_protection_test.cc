@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <optional>
@@ -9,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/clock.h"
 #include "src/common/hash.h"
 #include "src/common/rand.h"
 #include "src/fslib/fslib.h"
@@ -158,9 +160,11 @@ TEST_F(ProtectionTest, DamagedIndexWalksEndInPinnedErrors) {
   // Directory rows: the bucket chain of the name /d/x (which shares /d/a's
   // L1 slot, so its lookup reaches a live L2 page) loops through two run
   // pages pointing at each other, fabricated from two data pages of /f in
-  // the same coffer, as the fault campaign builds it. Block-map rows: /f's
-  // indirect (or double-indirect) pointer is misaligned and the op touches a
-  // block behind it.
+  // the same coffer, as the fault campaign builds it; no dentry for x goes
+  // in behind the damage. Block-map rows: /f's indirect (or double-indirect)
+  // pointer is misaligned and the op touches a block behind it. Every row
+  // quarantines the coffer once: with the clock pinned, the coffer admits a
+  // probe one base backoff after the failing op.
   const vfs::Cred c{1000, 1000};
   using zofs::CofferHealth;
   enum class Damage { kDirLoop, kIndirect, kDindirect };
@@ -203,7 +207,7 @@ TEST_F(ProtectionTest, DamagedIndexWalksEndInPinnedErrors) {
        [&](fslib::FsLib& p, vfs::Fd, vfs::Fd, uint64_t) {
          return err(p.Open(c, "/d/" + x, vfs::kCreate | vfs::kWrite, 0666));
        },
-       Err::kIo, CofferHealth::kSick},  // the lookup quarantined the coffer; the open fails fast
+       Err::kCorrupt, CofferHealth::kSick},
       {"readdir of the looping dir", Damage::kDirLoop,
        [&](fslib::FsLib& p, vfs::Fd, vfs::Fd, uint64_t) { return err(p.ReadDir(c, "/d")); },
        Err::kCorrupt, CofferHealth::kSick},
@@ -259,6 +263,7 @@ TEST_F(ProtectionTest, DamagedIndexWalksEndInPinnedErrors) {
     ASSERT_TRUE(pages.ok());
     auto info = z.EnsureMappedForTest(cid, true);
     ASSERT_TRUE(info.ok());
+    uint64_t l2 = 0;  // the L2 page holding x's bucket (directory rows)
     {
       mpk::AccessWindow w(info->key, true);
       if (row.damage == Damage::kDirLoop) {
@@ -270,7 +275,7 @@ TEST_F(ProtectionTest, DamagedIndexWalksEndInPinnedErrors) {
           dev_->Store64(run + offsetof(zofs::DentryRun, next), next);
         }
         const uint32_t h = common::Fnv1a32(x);
-        const uint64_t l2 = dev_->As<uint64_t>(z.InodeForTest(*d)->l1_dir)[h % zofs::kL1Slots];
+        l2 = dev_->As<uint64_t>(z.InodeForTest(*d)->l1_dir)[h % zofs::kL1Slots];
         ASSERT_NE(l2, 0u);
         dev_->Store64(l2 + offsetof(zofs::L2Page, buckets) +
                           (h / zofs::kL1Slots) % zofs::kL2Buckets * 8,
@@ -283,8 +288,17 @@ TEST_F(ProtectionTest, DamagedIndexWalksEndInPinnedErrors) {
         dev_->Store64(ptr, dev_->Load64(ptr) + 8);
       }
     }
+    common::ScopedClockPin pin(common::RealNowNs());
     EXPECT_EQ(row.op(p, *fd, *afd, blk), row.err);
     EXPECT_EQ(z.Health(cid), row.health);
+    if (l2 != 0) {
+      for (const zofs::Dentry& de : dev_->As<zofs::L2Page>(l2)->embedded) {
+        EXPECT_FALSE(de.in_use() && std::string(de.name, std::min<size_t>(de.name_len,
+                                                                          zofs::kMaxName)) == x);
+      }
+    }
+    common::AdvanceNowNsForTest(zofs::Options{}.sick_backoff_ns);
+    EXPECT_EQ(err(p.Stat(c, "/f")), Err::kOk);  // the probe
   }
 }
 

@@ -6,7 +6,8 @@
 # deterministic pmem_audit replay of the Figure-8 workload (DWOL), the
 # metadata fault-injection campaign (deterministic across thread counts, plus
 # a bounded sanitized run), a smoke run of every repository-benchmark
-# workload, the Table 7 kvstore benchmark with every op checked, and a TSan
+# workload, the Table 7 kvstore benchmark with every op checked, the Table 9
+# cross-coffer benchmark with its allocation table checked, and a TSan
 # build running the threaded scalability stress. Prints a per-gate summary
 # table and exits nonzero on any finding.
 #
@@ -233,6 +234,18 @@ if env -u ZR_TABLE7_N "$BUILD_DIR"/bench/bench_table7_leveldb >/dev/null; then
   gate "table7-smoke" PASS
 else
   gate "table7-smoke" FAIL
+fi
+
+step "table9-smoke: bench_table9_worstcase at 200 files"
+# The one bench that drives CofferSplit (chmod) and CofferMovePages (rename)
+# at scale. It exits nonzero on a failed chmod or rename, and when KernFS's
+# allocation table and coffer run maps disagree after a ZoFS measurement.
+cmake --build "$BUILD_DIR" -j --target bench_table9_worstcase
+if env -u ZR_TABLE9_FILE_BYTES ZR_TABLE9_FILES=200 "$BUILD_DIR"/bench/bench_table9_worstcase \
+     >/dev/null; then
+  gate "table9-smoke" PASS
+else
+  gate "table9-smoke" FAIL
 fi
 
 step "TSan build + threaded scalability stress ($TSAN_DIR)"
