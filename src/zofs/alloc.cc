@@ -1,11 +1,16 @@
 #include "src/zofs/alloc.h"
 
+#include <pthread.h>
+
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/common/clock.h"
 #include "src/common/killpoint.h"
+#include "src/common/mutex.h"
 #include "src/mpk/mpk.h"
 #include "src/zofs/lease.h"
 
@@ -20,19 +25,87 @@ thread_local std::unordered_map<uint64_t, uint32_t> t_my_list;
 const uint8_t kZeroPage[nvm::kPageSize] = {};
 
 thread_local uint64_t t_tid_override = 0;
+
+// The tids of this process's threads that have exited, each with the
+// NowNs() of its exit, less every tid a ScopedTidOverride has named: such a
+// virtual tid (a procmon tenant's) may still be in use whatever became of
+// the thread that drew the same number.
+class ExitedTids {
+ public:
+  void AddExited(uint64_t tid, uint64_t at_ns) {
+    common::MutexLock lk(&mu_);
+    exited_[tid] = at_ns;
+  }
+  void AddVirtual(uint64_t tid) {
+    common::MutexLock lk(&mu_);
+    virtual_.insert(tid);
+  }
+  // Did thread `tid` exit before `now`? Under a pinned clock no exit is
+  // before now, as no lease dies: a run that pins the clock (bench_json)
+  // then hands out the same lists whichever of its threads ends first.
+  bool Before(uint64_t tid, uint64_t now) {
+    common::MutexLock lk(&mu_);
+    auto it = exited_.find(tid);
+    return it != exited_.end() && it->second < now && virtual_.count(tid) == 0;
+  }
+
+ private:
+  common::Mutex mu_;
+  std::unordered_map<uint64_t, uint64_t> exited_ GUARDED_BY(mu_);
+  std::unordered_set<uint64_t> virtual_ GUARDED_BY(mu_);
+};
+
+// Never destroyed: a thread may exit after static destruction began.
+ExitedTids& Exited() {
+  static ExitedTids* tids = new ExitedTids;
+  return *tids;
+}
+
+// A thread that draws a tid sets it as its value of this key, whose
+// destructor reports the tid as exited. Key destructors run after the
+// thread's C++ thread_local destructors, so the thread touches its lists no
+// more, and the key adds nothing to the thread-local block that the hot
+// paths read. nullopt when no key could be made: exits then go unrecorded
+// and lists wait for their leases to lapse.
+std::optional<pthread_key_t> ExitKey() {
+  static const std::optional<pthread_key_t> key = []() -> std::optional<pthread_key_t> {
+    pthread_key_t k = 0;
+    const int err = pthread_key_create(&k, [](void* tid) {
+      Exited().AddExited(reinterpret_cast<uintptr_t>(tid), common::NowNs());
+    });
+    if (err != 0) {
+      return std::nullopt;
+    }
+    return k;
+  }();
+  return key;
+}
+
+// Out of line, so that CurrentTid's fast path saves no registers.
+[[gnu::noinline]] uint64_t DrawTid() {
+  static std::atomic<uint64_t> next{1};
+  const uint64_t tid = next.fetch_add(1);
+  if (const std::optional<pthread_key_t> key = ExitKey()) {
+    pthread_setspecific(*key, reinterpret_cast<void*>(static_cast<uintptr_t>(tid)));
+  }
+  return tid;
+}
 }  // namespace
 
 uint64_t CurrentTid() {
   if (t_tid_override != 0) {
     return t_tid_override;
   }
-  static std::atomic<uint64_t> next{1};
-  thread_local uint64_t tid = next.fetch_add(1);
+  thread_local uint64_t tid = 0;
+  if (tid == 0) {
+    tid = DrawTid();
+  }
   return tid;
 }
 
 ScopedTidOverride::ScopedTidOverride(uint64_t tid) : prev_(t_tid_override) {
   if (tid != 0) {
+    Exited().AddVirtual(tid);
     t_tid_override = tid;
   }
 }
@@ -164,13 +237,20 @@ uint32_t CofferAllocator::AdoptParkedList(uint32_t own) {
     const uint64_t owner_off = loff + offsetof(LeasedFreeList, owner_tid);
     const uint64_t expiry_off = loff + offsetof(LeasedFreeList, lease_expiry_ns);
     const uint64_t owner = dev->AtomicLoad64(owner_off);
-    // A live holder's list is skipped before its head is read: the holder
-    // writes the head with plain stores.
-    if (i == own || (owner != 0 && !LeaseDead(dev->AtomicLoad64(expiry_off), now)) ||
+    if (i == own) {
+      continue;
+    }
+    // A list under a live lease is taken over only when its holder is a
+    // thread of this process that exited before now. A live holder's list
+    // is skipped before its head is read: the holder writes the head with
+    // plain stores.
+    const bool leased = owner != 0 && !LeaseDead(dev->AtomicLoad64(expiry_off), now);
+    if ((leased && !Exited().Before(owner, now)) ||
         dev->AtomicLoad64(loff + offsetof(LeasedFreeList, head)) == 0) {
       continue;
     }
-    if (TryClaimLease(dev, owner_off, expiry_off, owner, tid, lease_ns_) == Claim::kNone) {
+    if (TryClaimLease(dev, owner_off, expiry_off, owner, tid, lease_ns_,
+                      /*holder_dead=*/leased) == Claim::kNone) {
       continue;
     }
     const uint64_t own_off = ListOff(pool_off_, own);

@@ -30,7 +30,8 @@ using common::Err;
 using common::Result;
 using common::Status;
 
-// Process-wide unique id of the calling thread; never 0.
+// Process-wide unique id of the calling thread; never 0. A tid is never
+// drawn twice, so a list whose owner's thread has exited can be taken over.
 uint64_t CurrentTid();
 
 // Device offset of list `i` of the pool at `pool_off`.
@@ -108,9 +109,10 @@ class CofferAllocator {
   // persisted — coalesced into `flush` when non-null, eagerly otherwise.
   Result<uint32_t> AcquireList(nvm::FlushSet* flush);
   // Before the list `own` (empty) is refilled from the kernel: takes over
-  // the first other list that holds pages under a dead lease or no owner
-  // (a set-up thread's, an idle thread's, a reaped process's) and releases
-  // `own`. Returns the list the thread now holds.
+  // the first other list that holds pages under a dead lease, no owner, or
+  // an owner thread that exited before now (a set-up thread's, an idle
+  // thread's, a reaped process's) and releases `own`. Returns the list the
+  // thread now holds.
   uint32_t AdoptParkedList(uint32_t own);
   // Obtains a refill batch from the kernel: harvests a prefetched async
   // grant, else enlarges through the channel (draining anything queued in

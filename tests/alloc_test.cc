@@ -183,6 +183,72 @@ TEST_F(AllocTest, DrainedListAdoptsDeadListBeforeEnlarging) {
   EXPECT_EQ(kfs_->FreePages(), kernel_free) << "B enlarged the coffer past A's parked pages";
 }
 
+// Runs `body` on a thread of its own, bound to `proc` with a writable window
+// on `key`, and joins it; returns the thread's tid.
+template <typename Body>
+uint64_t OnExitedThread(kernfs::Process* proc, uint8_t key, Body body) {
+  uint64_t tid = 0;
+  std::thread t([&] {
+    proc->BindCurrentThread();
+    {
+      mpk::AccessWindow w(key, true);
+      body();
+    }
+    tid = zofs::CurrentTid();
+    mpk::BindThreadToProcess(nullptr);
+  });
+  t.join();
+  return tid;
+}
+
+TEST_F(AllocTest, ExitedThreadsListIsAdoptedInsideItsLease) {
+  // A thread parks 64 pages on its list and exits while its lease is live.
+  // A thread whose own list runs dry must take those pages over at once,
+  // not enlarge the coffer and leave them stranded until the lease lapses.
+  common::ScopedClockPin pin(1'000'000'000);  // no lease lapses
+  auto alloc = NewAlloc(/*lease_ns=*/1'000'000, /*batch=*/16);
+  mpk::AccessWindow w(info_.key, true);
+  ASSERT_TRUE(alloc->AllocPage(false).ok());  // this thread's own list, 15 left
+  OnExitedThread(proc_, info_.key, [&] {
+    std::vector<uint64_t> pages;
+    for (int i = 0; i < 64; i++) {
+      auto p = alloc->AllocPage(false);
+      ASSERT_TRUE(p.ok());
+      pages.push_back(*p);
+    }
+    for (uint64_t p : pages) {
+      ASSERT_TRUE(alloc->FreePage(p).ok());
+    }
+  });
+  ASSERT_EQ(alloc->FreeListPagesForTest(), 15u + 64u);
+  common::AdvanceNowNsForTest(1);  // the exit is in the past, the lease live
+  const uint64_t kernel_free = kfs_->FreePages();
+  for (int i = 0; i < 15 + 64; i++) {
+    ASSERT_TRUE(alloc->AllocPage(false).ok());
+  }
+  EXPECT_EQ(kfs_->FreePages(), kernel_free) << "enlarged the coffer past an exited thread's pages";
+  EXPECT_EQ(alloc->FreeListPagesForTest(), 0u);
+}
+
+TEST_F(AllocTest, VirtualTidOfAnExitedThreadKeepsItsList) {
+  // A ScopedTidOverride may name the tid an exited thread drew (procmon
+  // numbers its tenants): that tid can be live, so its list stays leased.
+  common::ScopedClockPin pin(1'000'000'000);
+  auto alloc = NewAlloc(/*lease_ns=*/1'000'000, /*batch=*/16);
+  const uint64_t exited = OnExitedThread(proc_, info_.key, [&] {
+    auto p = alloc->AllocPage(false);
+    ASSERT_TRUE(p.ok());
+    ASSERT_TRUE(alloc->FreePage(*p).ok());
+  });
+  { zofs::ScopedTidOverride tenant(exited); }
+  common::AdvanceNowNsForTest(1);
+  mpk::AccessWindow w(info_.key, true);
+  const uint64_t kernel_free = kfs_->FreePages();
+  ASSERT_TRUE(alloc->AllocPage(false).ok());
+  EXPECT_LT(kfs_->FreePages(), kernel_free) << "took over the list of a virtual tid";
+  EXPECT_EQ(alloc->FreeListPagesForTest(), 16u + 15u);
+}
+
 TEST_F(AllocTest, DonateParksPagesOnFreeList) {
   auto alloc = NewAlloc();
   mpk::AccessWindow w(info_.key, true);

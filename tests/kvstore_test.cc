@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <set>
 
 #include "src/apps/kvstore/kvstore.h"
@@ -59,68 +61,125 @@ Entries Of(const std::map<std::string, std::string>& model) {
   return Entries(model.begin(), model.end());
 }
 
-// Forwards every call to `base` and counts the Preads.
+// Forwards every call to `base` and counts the calls by name.
 class CountingFs final : public vfs::FileSystem {
  public:
+  using Counts = std::map<std::string, uint64_t>;
+
   explicit CountingFs(vfs::FileSystem* base) : base_(base) {}
-  uint64_t preads() const { return preads_; }
+  const Counts& counts() const { return counts_; }
+  uint64_t preads() const { return counts_.count("Pread") ? counts_.at("Pread") : 0; }
+  uint64_t last_pread_bytes() const { return last_pread_bytes_; }
 
   const char* Name() const override { return base_->Name(); }
   Result<vfs::Fd> Open(const vfs::Cred& c, const std::string& p, uint32_t f,
                        uint16_t m) override {
+    counts_["Open"]++;
     return base_->Open(c, p, f, m);
   }
-  Status Close(vfs::Fd fd) override { return base_->Close(fd); }
-  Result<size_t> Read(vfs::Fd fd, void* b, size_t n) override { return base_->Read(fd, b, n); }
+  Status Close(vfs::Fd fd) override {
+    counts_["Close"]++;
+    return base_->Close(fd);
+  }
+  Result<size_t> Read(vfs::Fd fd, void* b, size_t n) override {
+    counts_["Read"]++;
+    return base_->Read(fd, b, n);
+  }
   Result<size_t> Write(vfs::Fd fd, const void* b, size_t n) override {
+    counts_["Write"]++;
     return base_->Write(fd, b, n);
   }
   Result<size_t> Pread(vfs::Fd fd, void* b, size_t n, uint64_t off) override {
-    preads_++;
+    counts_["Pread"]++;
+    last_pread_bytes_ = n;
     return base_->Pread(fd, b, n, off);
   }
   Result<size_t> Pwrite(vfs::Fd fd, const void* b, size_t n, uint64_t off) override {
+    counts_["Pwrite"]++;
     return base_->Pwrite(fd, b, n, off);
   }
   Result<uint64_t> Lseek(vfs::Fd fd, int64_t off, int whence) override {
+    counts_["Lseek"]++;
     return base_->Lseek(fd, off, whence);
   }
-  Status Fsync(vfs::Fd fd) override { return base_->Fsync(fd); }
-  Result<vfs::StatBuf> Fstat(vfs::Fd fd) override { return base_->Fstat(fd); }
-  Status Ftruncate(vfs::Fd fd, uint64_t len) override { return base_->Ftruncate(fd, len); }
-  Result<vfs::Fd> Dup(vfs::Fd fd) override { return base_->Dup(fd); }
+  Status Fsync(vfs::Fd fd) override {
+    counts_["Fsync"]++;
+    return base_->Fsync(fd);
+  }
+  Result<vfs::StatBuf> Fstat(vfs::Fd fd) override {
+    counts_["Fstat"]++;
+    return base_->Fstat(fd);
+  }
+  Status Ftruncate(vfs::Fd fd, uint64_t len) override {
+    counts_["Ftruncate"]++;
+    return base_->Ftruncate(fd, len);
+  }
+  Result<vfs::Fd> Dup(vfs::Fd fd) override {
+    counts_["Dup"]++;
+    return base_->Dup(fd);
+  }
   Status Mkdir(const vfs::Cred& c, const std::string& p, uint16_t m) override {
+    counts_["Mkdir"]++;
     return base_->Mkdir(c, p, m);
   }
-  Status Rmdir(const vfs::Cred& c, const std::string& p) override { return base_->Rmdir(c, p); }
-  Status Unlink(const vfs::Cred& c, const std::string& p) override { return base_->Unlink(c, p); }
+  Status Rmdir(const vfs::Cred& c, const std::string& p) override {
+    counts_["Rmdir"]++;
+    return base_->Rmdir(c, p);
+  }
+  Status Unlink(const vfs::Cred& c, const std::string& p) override {
+    counts_["Unlink"]++;
+    return base_->Unlink(c, p);
+  }
   Result<vfs::StatBuf> Stat(const vfs::Cred& c, const std::string& p) override {
+    counts_["Stat"]++;
     return base_->Stat(c, p);
   }
   Result<std::vector<vfs::DirEntry>> ReadDir(const vfs::Cred& c, const std::string& p) override {
+    counts_["ReadDir"]++;
     return base_->ReadDir(c, p);
   }
   Status Rename(const vfs::Cred& c, const std::string& from, const std::string& to) override {
+    counts_["Rename"]++;
     return base_->Rename(c, from, to);
   }
   Status Chmod(const vfs::Cred& c, const std::string& p, uint16_t m) override {
+    counts_["Chmod"]++;
     return base_->Chmod(c, p, m);
   }
   Status Chown(const vfs::Cred& c, const std::string& p, uint32_t uid, uint32_t gid) override {
+    counts_["Chown"]++;
     return base_->Chown(c, p, uid, gid);
   }
   Status Symlink(const vfs::Cred& c, const std::string& target,
                  const std::string& link) override {
+    counts_["Symlink"]++;
     return base_->Symlink(c, target, link);
   }
   Result<std::string> ReadLink(const vfs::Cred& c, const std::string& p) override {
+    counts_["ReadLink"]++;
     return base_->ReadLink(c, p);
   }
 
  private:
   vfs::FileSystem* base_;
-  uint64_t preads_ = 0;
+  Counts counts_;
+  size_t last_pread_bytes_ = 0;
 };
+
+// The calls `body` makes through `fs`, by name.
+template <typename Body>
+CountingFs::Counts CallsOf(CountingFs* fs, Body body) {
+  const CountingFs::Counts before = fs->counts();
+  body();
+  CountingFs::Counts made;
+  for (const auto& [name, n] : fs->counts()) {
+    const uint64_t was = before.count(name) ? before.at(name) : 0;
+    if (n != was) {
+      made[name] = n - was;
+    }
+  }
+  return made;
+}
 
 class KvStoreTest : public ::testing::TestWithParam<harness::FsKind> {
  protected:
@@ -524,6 +583,194 @@ TEST_P(KvStoreTest, RecordsLongerThanAScanChunkSurviveReopenAndCompaction) {
   auto db = kvstore::Db::Open(fs_, "/db", opts);
   ASSERT_TRUE(db.ok());
   check(db->get(), "loaded compacted table");
+}
+
+TEST_P(KvStoreTest, MemtableMatchesAMapModel) {
+  // Seeded random Puts, Deletes and Gets over a small key space against a
+  // std::map, at a memtable that flushes every few dozen records and at one
+  // that only flushes when asked. One hot key is overwritten in bursts, so
+  // one memtable holds many of its versions; a key written to a table and
+  // then deleted is shadowed by the memtable's tombstone; flushes, merges of
+  // three tables, iterator scans and reopens that replay the WAL are mixed
+  // in.
+  for (const size_t memtable_bytes : {size_t{2} << 10, size_t{1} << 20}) {
+    SCOPED_TRACE(memtable_bytes);
+    const std::string dir = "/db" + std::to_string(memtable_bytes);
+    kvstore::DbOptions opts;
+    opts.memtable_bytes = memtable_bytes;
+    opts.compact_trigger = 3;
+    opts.index_stride = 4;
+    auto db = kvstore::Db::Open(fs_, dir, opts);
+    ASSERT_TRUE(db.ok());
+    std::map<std::string, std::string> model;
+    auto check_get = [&](const std::string& k) {
+      auto got = (*db)->Get(k);
+      auto want = model.find(k);
+      if (want == model.end()) {
+        ASSERT_FALSE(got.ok()) << k << " = " << *got;
+        EXPECT_EQ(got.error(), Err::kNoEnt) << k;
+      } else {
+        ASSERT_TRUE(got.ok()) << k;
+        EXPECT_EQ(*got, want->second) << k;
+      }
+    };
+    auto reopen = [&] {
+      db->reset();
+      db = kvstore::Db::Open(fs_, dir, opts);
+      ASSERT_TRUE(db.ok());
+    };
+
+    // A memtable tombstone over a table value.
+    ASSERT_TRUE((*db)->Put("shadowed", "in a table").ok());
+    ASSERT_TRUE((*db)->FlushMemtableForTest().ok());
+    ASSERT_TRUE((*db)->Delete("shadowed").ok());
+    check_get("shadowed");
+    EXPECT_EQ(Scan(db->get()), Of(model));
+    reopen();
+    check_get("shadowed");
+
+    common::Rng rng(memtable_bytes);
+    for (int i = 0; i < 3000; i++) {
+      const uint64_t op = rng.Below(100);
+      const std::string k = Key(static_cast<int>(rng.Below(200)));
+      if (op < 5) {
+        for (int j = 0; j < 40; j++) {
+          const std::string v = "hot" + std::to_string(i) + "." + std::to_string(j);
+          ASSERT_TRUE((*db)->Put("hot", v).ok());
+          model["hot"] = v;
+        }
+        check_get("hot");
+      } else if (op < 45) {
+        const std::string v = std::string(rng.Below(60), 'v') + std::to_string(i);
+        ASSERT_TRUE((*db)->Put(k, v).ok());
+        model[k] = v;
+      } else if (op < 60) {
+        ASSERT_TRUE((*db)->Delete(k).ok());
+        model.erase(k);
+      } else if (op < 95) {
+        check_get(k);
+      } else if (op < 97) {
+        ASSERT_TRUE((*db)->FlushMemtableForTest().ok());
+      } else if (op < 99) {
+        ASSERT_EQ(Scan(db->get()), Of(model)) << "op " << i;
+      } else {
+        reopen();
+      }
+    }
+    for (int k = 0; k < 200; k++) {
+      check_get(Key(k));
+    }
+    check_get("hot");
+    EXPECT_EQ(Scan(db->get()), Of(model));
+    reopen();
+    EXPECT_EQ(Scan(db->get()), Of(model));
+  }
+}
+
+TEST_P(KvStoreTest, PutsAndMemtableHitsMakeExactlyTheirCalls) {
+  CountingFs counting(fs_);
+  kvstore::DbOptions opts;
+  opts.sync_writes = true;
+  auto db = kvstore::Db::Open(&counting, "/db", opts);
+  ASSERT_TRUE(db.ok());
+  const CountingFs::Counts synced_put = {{"Fsync", 1}, {"Write", 1}};
+  EXPECT_EQ(CallsOf(&counting, [&] { ASSERT_TRUE((*db)->Put("k", "v1").ok()); }), synced_put);
+  EXPECT_EQ(CallsOf(&counting, [&] { ASSERT_TRUE((*db)->Put("k", "v2").ok()); }), synced_put);
+  EXPECT_EQ(CallsOf(&counting, [&] { ASSERT_TRUE((*db)->Delete("gone").ok()); }), synced_put);
+  EXPECT_EQ(CallsOf(&counting, [&] { EXPECT_EQ(*(*db)->Get("k"), "v2"); }), CountingFs::Counts());
+  EXPECT_EQ(CallsOf(&counting, [&] { EXPECT_EQ((*db)->Get("gone").error(), Err::kNoEnt); }),
+            CountingFs::Counts());
+  // Without a table, a key the memtable does not hold costs no call either.
+  EXPECT_EQ(CallsOf(&counting, [&] { EXPECT_EQ((*db)->Get("absent").error(), Err::kNoEnt); }),
+            CountingFs::Counts());
+  db->reset();
+  opts.sync_writes = false;
+  db = kvstore::Db::Open(&counting, "/db", opts);
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ(CallsOf(&counting, [&] { ASSERT_TRUE((*db)->Put("k", "v3").ok()); }),
+            (CountingFs::Counts{{"Write", 1}}));
+}
+
+TEST_P(KvStoreTest, FlushedTableIsTheNewestRecordOfEachKeyInKeyOrder) {
+  // Random order, overwrites and tombstones in one memtable: the table is
+  // each key's newest record, tombstones included, encoded back to back in
+  // key order.
+  kvstore::DbOptions opts;
+  opts.memtable_bytes = 1 << 20;
+  auto db = kvstore::Db::Open(fs_, "/db", opts);
+  ASSERT_TRUE(db.ok());
+  std::map<std::string, std::optional<std::string>> newest;
+  common::Rng rng(5);
+  for (int i = 0; i < 1500; i++) {
+    // Keys of every length from 0 to 24 bytes, so the sort meets keys that
+    // are prefixes of each other.
+    const std::string k = std::string(rng.Below(25), static_cast<char>('a' + rng.Below(3)));
+    if (rng.Below(5) == 0) {
+      ASSERT_TRUE((*db)->Delete(k).ok());
+      newest[k] = std::nullopt;
+    } else {
+      const std::string v = std::to_string(i) + std::string(rng.Below(30), '.');
+      ASSERT_TRUE((*db)->Put(k, v).ok());
+      newest[k] = v;
+    }
+  }
+  ASSERT_TRUE((*db)->FlushMemtableForTest().ok());
+  std::string want;
+  for (const auto& [k, v] : newest) {
+    AppendRecord(&want, k, v);
+  }
+  const std::vector<std::string> tables = Tables("/db");
+  ASSERT_EQ(tables.size(), 1u);
+  auto fd = fs_->Open(kRoot, tables[0], vfs::kRead, 0);
+  ASSERT_TRUE(fd.ok());
+  std::string got(want.size() + 1, '\0');
+  auto n = fs_->Pread(*fd, got.data(), got.size(), 0);
+  ASSERT_TRUE(n.ok());
+  got.resize(*n);
+  ASSERT_TRUE(fs_->Close(*fd).ok());
+  EXPECT_TRUE(got == want) << "table of " << got.size() << " bytes, want " << want.size();
+}
+
+TEST_P(KvStoreTest, IndexBlocksEndAtFourKilobytes) {
+  // Values of 6-10 KB: each record fills its own index block, so a Get
+  // reads exactly its record, and the reused block buffer never outgrows
+  // the largest record. At 16 records a block, a Get would read ~130 KB.
+  CountingFs counting(fs_);
+  kvstore::DbOptions opts;
+  opts.memtable_bytes = 4 << 20;
+  auto db = kvstore::Db::Open(&counting, "/db", opts);
+  ASSERT_TRUE(db.ok());
+  std::map<std::string, std::string> model;
+  common::Rng rng(3);
+  size_t largest = 0;
+  for (int i = 0; i < 64; i++) {
+    model[Key(i)] = std::string((6 << 10) + rng.Below(4 << 10), static_cast<char>('a' + i % 26));
+    ASSERT_TRUE((*db)->Put(Key(i), model[Key(i)]).ok());
+    largest = std::max(largest, 8 + Key(i).size() + model[Key(i)].size());
+  }
+  ASSERT_TRUE((*db)->FlushMemtableForTest().ok());
+  size_t read_most = 0;
+  for (const auto& [k, v] : model) {
+    const uint64_t before = counting.preads();
+    auto got = (*db)->Get(k);
+    ASSERT_TRUE(got.ok()) << k;
+    EXPECT_TRUE(*got == v) << k;
+    ASSERT_EQ(counting.preads(), before + 1) << k;
+    EXPECT_EQ(counting.last_pread_bytes(), 8 + k.size() + v.size()) << k;
+    read_most = std::max(read_most, counting.last_pread_bytes());
+  }
+  EXPECT_EQ(read_most, largest);
+  // db_bench's 124-byte records (16-byte keys, 100-byte values) keep their
+  // 16-record (1,984-byte) blocks.
+  auto small = [](int i) { return "db_bench__" + Key(i); };
+  for (int i = 0; i < 64; i++) {
+    ASSERT_TRUE((*db)->Put(small(i), std::string(100, 's')).ok());
+  }
+  ASSERT_TRUE((*db)->FlushMemtableForTest().ok());
+  for (int i = 0; i < 64; i++) {
+    ASSERT_TRUE((*db)->Get(small(i)).ok());
+    EXPECT_EQ(counting.last_pread_bytes(), 16u * 124) << small(i);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(OnUserSpaceAndKernelFs, KvStoreTest,
