@@ -39,12 +39,12 @@ void KeyClassTable::Touch(uint16_t slot) {
     return;
   }
   std::atomic<uint64_t>& stamp = c->touched[slot % kSlotsPerChunk];
-  // Stamps are unique nonzero clock values, so a slot whose stamp equals the
-  // clock already holds the freshest one and a new stamp would not change the
-  // LRU order: skip the shared-clock write. The nonzero test matters on a
-  // fresh table, where the clock and every stamp are 0.
+  // Stamps are unique nonzero clock values. One fewer than kTouchSlack
+  // stamps behind the clock is recent enough (keyclass.h): skip the
+  // shared-clock write. The nonzero test matters on a fresh table, where the
+  // clock and every stamp are 0.
   const uint64_t s = stamp.load(std::memory_order_relaxed);
-  if (s != 0 && s == touch_clock_.load(std::memory_order_relaxed)) {
+  if (s != 0 && touch_clock_.load(std::memory_order_relaxed) - s < kTouchSlack) {
     return;
   }
   stamp.store(touch_clock_.fetch_add(1, std::memory_order_relaxed) + 1, std::memory_order_relaxed);
@@ -134,8 +134,9 @@ uint8_t KeyClassTable::EnsureKey(uint16_t slot, uint16_t* evicted, bool* fresh) 
     // assignment moves — members, refcounts and µFS caches stay; the caller
     // retags the victim's pages to kUnmapped so its next access faults in.
     // Stamps come from the touched atomics, which the µFS bumps lock-free on
-    // every revalidation, so an in-flight op's working set is never the
-    // victim. Every used key belongs to a keyed slot and this slot holds
+    // revalidation, so an in-flight op's working set is not the victim
+    // (kTouchSlack bounds how stale a touched stamp may be). Every used key
+    // belongs to a keyed slot and this slot holds
     // none, so with all 15 in use the scan always finds a victim.
     uint16_t victim = kNoSlot;
     uint64_t victim_stamp = 0;

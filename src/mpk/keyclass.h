@@ -87,14 +87,31 @@ class KeyClassTable {
   // revalidation. This is what makes the key window safe for an in-flight
   // operation: an op touches every coffer it will access up front (path
   // resolution → EnsureMapped → revalidate → Touch), so its working-set
-  // classes always carry the freshest stamps and EnsureKey's victim scan —
-  // which picks the *oldest* stamp — can never demote a class the current
+  // classes carry recent stamps and EnsureKey's victim scan — which picks
+  // the *oldest* stamp — does not demote a class the current
   // (single-threaded) op is still using. The hardware analog is the access
-  // bit a pkey-eviction daemon consults before stealing a key. Touch writes
-  // only when the LRU order would change: a slot that already holds the
-  // freshest stamp is left as it is, so the victim order is exactly that of
-  // stamping on every call.
+  // bit a pkey-eviction daemon consults before stealing a key. Touch
+  // re-stamps a slot only once its stamp is kTouchSlack or more stamps
+  // behind the clock, so a thread that works in at most kTouchSlack classes
+  // stops writing the shared clock.
   void Touch(uint16_t slot);
+
+  // The victim scan takes a class only when the 14 other keyed classes all
+  // hold newer stamps, and a touch leaves at most kTouchSlack - 1 newer
+  // ones, so on one thread a class it touched is demoted only once 15 -
+  // kTouchSlack other keyed classes were stamped after it (9 here; 14 when
+  // every touch that could re-stamp did). At most 13 keeps that at two or
+  // more: an op working in three classes (a cross-coffer rename's two
+  // parents and its moved coffer root) never demotes one of them itself.
+  static constexpr uint64_t kTouchSlack = 6;
+  static_assert(kTouchSlack >= 1 && kTouchSlack <= kNumKeys - 3,
+                "a touch must keep a class through two other classes' stamps");
+
+  // The slot's LRU stamp (0: never stamped). Tests only.
+  uint64_t StampForTest(uint16_t slot) const {
+    const Chunk* c = ChunkOf(slot);
+    return c == nullptr ? 0 : c->touched[slot % kSlotsPerChunk].load(std::memory_order_relaxed);
+  }
 
   // Membership/refcount: one Retain per mapped coffer in the class, one
   // Release on unmap. Release returns true when it dropped the last member

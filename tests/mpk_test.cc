@@ -204,6 +204,82 @@ TEST(KeyClassTableTest, RepeatedTouchKeepsLruOrder) {
   EXPECT_NE(t.PublishedKey(0), mpk::kUnmapped);
 }
 
+// Keys 15 classes in slot order, so slot i holds stamp i + 1 and the clock
+// reads 15.
+void KeyFifteen(mpk::KeyClassTable& t) {
+  uint16_t evicted = 0;
+  bool fresh = false;
+  for (int i = 0; i < 15; i++) {
+    const uint16_t slot = t.SlotFor(mpk::ProtClass{100, 100, static_cast<uint16_t>(0600 + i)});
+    ASSERT_EQ(slot, i);
+    t.Retain(slot, 100 + i);
+    ASSERT_NE(t.EnsureKey(slot, &evicted, &fresh), mpk::kUnmapped);
+    ASSERT_EQ(evicted, mpk::KeyClassTable::kNoSlot);
+    ASSERT_EQ(t.StampForTest(slot), i + 1u);
+  }
+}
+
+// The class a 16th class's EnsureKey demotes.
+uint16_t NextVictim(mpk::KeyClassTable& t) {
+  const uint16_t s = t.SlotFor(mpk::ProtClass{100, 100, 0777});
+  t.Retain(s, 200);
+  uint16_t evicted = 0;
+  bool fresh = false;
+  EXPECT_NE(t.EnsureKey(s, &evicted, &fresh), mpk::kUnmapped);
+  return evicted;
+}
+
+TEST(KeyClassTableTest, RecentTouchWritesNothing) {
+  // A slot fewer than kTouchSlack stamps behind the clock keeps its stamp,
+  // and the clock does not move: the next re-stamp is clock + 1.
+  constexpr uint64_t kSlack = mpk::KeyClassTable::kTouchSlack;
+  mpk::KeyClassTable t;
+  KeyFifteen(t);
+  for (uint16_t i = 15 - kSlack; i < 15; i++) {
+    t.Touch(i);
+  }
+  for (uint16_t i = 0; i < 15; i++) {
+    EXPECT_EQ(t.StampForTest(i), i + 1u) << "slot " << i;
+  }
+  const uint16_t stale = 14 - kSlack;  // exactly kTouchSlack behind
+  t.Touch(stale);
+  EXPECT_EQ(t.StampForTest(stale), 16u);
+}
+
+TEST(KeyClassTableTest, TouchedClassOutlivesFewerThanSlackOtherStamps) {
+  // One thread touches class A, then m other keyed classes, oldest first;
+  // a 16th class then takes a key. For m <= 14 - kTouchSlack the victim is
+  // never A, wherever A's stamp sat. The bound is tight: A touched while
+  // kTouchSlack - 1 stamps behind keeps that stamp, and once the 15 -
+  // kTouchSlack classes older than it are stamped, A is the oldest.
+  constexpr uint64_t kSlack = mpk::KeyClassTable::kTouchSlack;
+  for (uint16_t a = 0; a < 15; a++) {
+    for (uint64_t m = 0; m <= 14 - kSlack; m++) {
+      SCOPED_TRACE(testing::Message() << "A = slot " << a << ", " << m << " others");
+      mpk::KeyClassTable t;
+      KeyFifteen(t);
+      t.Touch(a);
+      uint64_t touched = 0;
+      for (uint16_t i = 0; i < 15 && touched < m; i++) {
+        if (i != a) {
+          t.Touch(i);
+          touched++;
+        }
+      }
+      EXPECT_NE(NextVictim(t), a);
+    }
+  }
+  mpk::KeyClassTable t;
+  KeyFifteen(t);
+  const uint16_t a = 15 - kSlack;
+  t.Touch(a);
+  ASSERT_EQ(t.StampForTest(a), a + 1u);
+  for (uint16_t i = 0; i < a; i++) {
+    t.Touch(i);
+  }
+  EXPECT_EQ(NextVictim(t), a);
+}
+
 TEST(KeyClassTableTest, SlotForFailsOnlyAtSlotSpaceLimit) {
   // Slots are 16-bit with kNoSlot reserved: 65,535 distinct classes get
   // slots, the next class does not, and known classes still resolve.

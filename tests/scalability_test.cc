@@ -544,13 +544,15 @@ TEST_F(Scalability, SharedDirectoryCreateStorm) {
 }
 
 TEST_F(Scalability, UnlinkRacingStagedAppendDoesNotCorruptHeap) {
-  // Racy-by-design: unlink holds only the parent directory's InodeLock while
-  // FreeNode drops the file's staged-append epoch, so it can fire while an
-  // appender (holding the file's InodeLock) is mid-write into the stage.
-  // Pre-fix the StageState was uniquely owned and DropStage freed it under
-  // the appender — a heap use-after-free (caught by the filebench deleteproc
-  // mix). The appends may lose data (the file is being deleted); the process
-  // must not corrupt its heap, and the namespace must stay consistent.
+  // Unlink racing an appender that holds the file's InodeLock and writes
+  // into its staged-append epoch. Unlink frees the file (FreeNode drops the
+  // epoch) under that lock, taken once the parent's is released, so it
+  // waits for the appender: a drop under the appender once freed its
+  // StageState (a heap use-after-free the filebench deleteproc mix caught),
+  // and under ZOFS_AUDIT=1 the auditor saw the inode's first line cleared
+  // between the appender's fence and its durability point. The appends may
+  // lose data (the file is being deleted); the process must not corrupt its
+  // heap, and the namespace must stay consistent.
   ASSERT_TRUE(fs_->Mkdir(kCred, "/uvw", 0755).ok());
   constexpr int kRounds = 200;
   std::atomic<bool> done{false};
