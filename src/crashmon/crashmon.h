@@ -26,6 +26,12 @@
 //                      data writes, which ZoFS does not make atomic — torn
 //                      only byte-wise between old and new content.
 //
+// The workload and the oracle's expectations come from the testbed op kit
+// (src/testbed/testbed.h): the plans are testbed ops, its executor runs
+// them, and its reference model predicts each op's code and holds what the
+// recovered tree must contain. While recording, every op's code is checked
+// against the model's prediction (a mismatch is a wrong-outcome violation).
+//
 // Exploration fans out across worker threads over a deterministic work queue
 // (contiguous epoch ranges), and the report is byte-stable: two runs of the
 // same configuration produce identical text and JSON.
@@ -84,13 +90,17 @@ struct ExploreOptions {
   bool legacy_rename_overwrite = false;
 };
 
+// A wrong-outcome is found while recording, not in a crash state: its
+// state_id is 0, its epoch -1 and its fence_seq the fence count the op began
+// at; its detail names the op, its path and the code got and wanted.
 struct Violation {
   uint64_t state_id = 0;   // index in deterministic enumeration order
   int64_t epoch = -1;      // base epoch of the crash image (-1 = snapshot)
   uint64_t fence_seq = 0;  // fence of the base epoch
   int mid_variant = -1;    // -1 = post-fence state, else mid-epoch subset id
   std::string kind;        // recovery-failed | fsck-alloc | walk-failed |
-                           // durability-lost | atomicity | unexpected-path
+                           // durability-lost | atomicity | unexpected-path |
+                           // wrong-outcome
   std::string detail;
 };
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/audit/audit.h"
 #include "src/common/clock.h"
 #include "src/common/hash.h"
 #include "src/common/rand.h"
@@ -87,16 +88,6 @@ common::StripedCounters<2> g_crossings;
 thread_local int t_bg_depth = 0;
 // Non-reentrance audit: >0 while a KernelEntry is alive on this thread.
 thread_local int t_kernel_depth = 0;
-
-// Same semantics as audit::EnvEnabled() without linking src/audit into the
-// kernel library.
-bool AuditEnvEnabled() {
-  static const bool on = [] {
-    const char* v = getenv("ZOFS_AUDIT");
-    return v != nullptr && v[0] != '\0' && v[0] != '0';
-  }();
-  return on;
-}
 }  // namespace
 
 uint64_t CrossingCount() { return ForegroundCrossingCount() + BackgroundCrossingCount(); }
@@ -119,7 +110,7 @@ BackgroundCrossingScope::~BackgroundCrossingScope() { t_bg_depth--; }
 
 KernelEntry::KernelEntry(uint64_t crossing_ns)
     : saved_table_(mpk::CurrentTable()), saved_pkru_(mpk::RdPkru()) {
-  if (t_kernel_depth != 0 && AuditEnvEnabled()) {
+  if (t_kernel_depth != 0 && audit::EnvEnabled()) {
     fprintf(stderr,
             "KernelEntry: nested kernel crossing (depth %d) — a public entry "
             "point called another public entry point; route kernel-internal "

@@ -11,8 +11,7 @@ namespace logfs {
 
 using kernfs::PageRun;
 
-LogFs::LogFs(kernfs::KernFs* kfs, kernfs::Process* proc, Options opts)
-    : kfs_(kfs), proc_(proc), opts_(opts) {
+LogFs::LogFs(kernfs::KernFs* kfs, kernfs::Process* proc) : kfs_(kfs), proc_(proc) {
   proc_->BindCurrentThread();
   kfs_->FsMount(*proc_);
   // No concurrent access is possible during construction; the lock is taken
@@ -39,7 +38,7 @@ Status LogFs::MountOrFormat() {
   ASSIGN_OR_RETURN(info, kfs_->CofferMap(*proc_, cid_, true));
   info_ = info;
   alloc_ = std::make_unique<zofs::CofferAllocator>(kfs_, proc_, cid_, info_.custom_off,
-                                                   opts_.lease_ns, opts_.enlarge_batch);
+                                                   kLeaseNs, kEnlargeBatch);
   nvm::NvmDevice* dev = kfs_->dev();
   mpk::AccessWindow w(info_.key, true);
 
@@ -724,7 +723,7 @@ Status LogFs::EnsureAccess(ufs::NodeRef node, bool writable) {
 // Compaction & recovery
 
 Status LogFs::MaybeCompact() {
-  if (log_pages_ < opts_.gc_min_pages) {
+  if (log_pages_ < kGcMinPages) {
     return common::OkStatus();
   }
   // Rough liveness estimate: records needed to reconstruct the tree vs

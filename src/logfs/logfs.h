@@ -41,17 +41,15 @@ using common::Status;
 
 inline constexpr uint64_t kLogSuperMagic = 0x4c4f4746535f5631ULL;  // "LOGFS_V1"
 
-struct Options {
-  uint64_t lease_ns = 200'000'000;
-  uint64_t enlarge_batch = 64;
-  // Compact when the log holds this many pages and less than half the
-  // records are live.
-  uint64_t gc_min_pages = 64;
-};
+inline constexpr uint64_t kLeaseNs = 200'000'000;
+inline constexpr uint64_t kEnlargeBatch = 64;
+// Compact when the log holds this many pages and less than half the records
+// are live.
+inline constexpr uint64_t kGcMinPages = 64;
 
 class LogFs final : public ufs::MicroFs {
  public:
-  LogFs(kernfs::KernFs* kfs, kernfs::Process* proc, Options opts = {});
+  LogFs(kernfs::KernFs* kfs, kernfs::Process* proc);
   ~LogFs() override;
 
   const char* Name() const override { return "LogFS"; }
@@ -193,7 +191,6 @@ class LogFs final : public ufs::MicroFs {
 
   kernfs::KernFs* kfs_;
   kernfs::Process* proc_;
-  Options opts_;
   uint32_t cid_ = 0;
   kernfs::MapInfo info_{};
   std::unique_ptr<zofs::CofferAllocator> alloc_;

@@ -12,10 +12,6 @@
 namespace nvm {
 
 namespace {
-// The crash model treats any Clwb'd-but-unfenced line as still volatile
-// (adversarial). See DESIGN.md §4 (nvm).
-constexpr bool kStrictFenceModel = true;
-
 DeviceInitHook g_init_hook = nullptr;
 }  // namespace
 
@@ -361,11 +357,11 @@ size_t NvmDevice::SimulateCrash() {
   }
   common::MutexLock lk(&track_mu_);
   size_t rolled_back = 0;
+  // Any Clwb'd-but-unfenced line is still volatile (adversarial). See
+  // DESIGN.md §4 (nvm).
   for (auto& [line, state] : dirty_lines_) {
-    if (kStrictFenceModel || !state.written_back) {
-      memcpy(base_ + line * kCachelineSize, state.pre_image, kCachelineSize);
-      rolled_back++;
-    }
+    memcpy(base_ + line * kCachelineSize, state.pre_image, kCachelineSize);
+    rolled_back++;
   }
   dirty_lines_.clear();
   return rolled_back;

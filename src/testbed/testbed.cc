@@ -12,6 +12,31 @@
 
 namespace testbed {
 
+using common::Err;
+
+namespace {
+
+template <typename T>
+Err Code(const common::Result<T>& r) {
+  return r.ok() ? Err::kOk : r.error();
+}
+
+// A short write is a failure.
+Err Written(const common::Result<size_t>& r, size_t want) {
+  return r.ok() ? (*r == want ? Err::kOk : Err::kIo) : r.error();
+}
+
+std::string Parent(const std::string& p) {
+  const size_t pos = p.rfind('/');
+  return pos == 0 ? "/" : p.substr(0, pos);
+}
+
+bool StartsWith(const std::string& s, const std::string& prefix) {
+  return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+}  // namespace
+
 Stack::Stack(const nvm::Options& dev_opts, const kernfs::FormatOptions& fmt)
     : owned_dev_(std::make_unique<nvm::NvmDevice>(dev_opts)), dev_(owned_dev_.get()) {
   MountKernel(&fmt);
@@ -118,6 +143,30 @@ int ReadFile(vfs::FileSystem* fs, const vfs::Cred& cred, const std::string& path
   return got == out->size() ? 1 : -1;
 }
 
+bool Walk(vfs::FileSystem* fs, const vfs::Cred& cred, const std::string& dir,
+          std::set<std::string>* files, std::set<std::string>* dirs, std::string* err) {
+  auto es = fs->ReadDir(cred, dir);
+  if (!es.ok()) {
+    *err = "readdir " + dir + ": " + common::ErrName(es.error());
+    return false;
+  }
+  for (const vfs::DirEntry& e : *es) {
+    if (e.name == "." || e.name == "..") {
+      continue;
+    }
+    std::string p = (dir == "/") ? "/" + e.name : dir + "/" + e.name;
+    if (e.type == vfs::FileType::kDirectory) {
+      dirs->insert(p);
+      if (!Walk(fs, cred, p, files, dirs, err)) {
+        return false;
+      }
+    } else {
+      files->insert(p);
+    }
+  }
+  return true;
+}
+
 std::vector<uint64_t> EscapedPages(const uint8_t* before, const uint8_t* after,
                                    uint64_t num_pages,
                                    const std::function<bool(uint64_t page)>& may_change) {
@@ -142,6 +191,156 @@ void FanOut(size_t n, int threads, const std::function<void(size_t lo, size_t hi
   for (std::thread& t : pool) {
     t.join();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Executor
+
+Err Executor::Run(const Op& op) {
+  switch (op.kind) {
+    case Op::Kind::kCreate: {
+      auto fd = fs_->Open(cred_, op.path, vfs::kCreate | vfs::kWrite, op.mode);
+      if (fd.ok()) {
+        fs_->Close(*fd);
+      }
+      return Code(fd);
+    }
+    case Op::Kind::kWrite: {
+      auto fd = fs_->Open(cred_, op.path, vfs::kWrite, 0);
+      if (!fd.ok()) {
+        return fd.error();
+      }
+      auto r = fs_->Pwrite(*fd, op.data.data(), op.data.size(), op.off);
+      fs_->Close(*fd);
+      return Written(r, op.data.size());
+    }
+    case Op::Kind::kUnlink:
+      return Code(fs_->Unlink(cred_, op.path));
+    case Op::Kind::kMkdir:
+      return Code(fs_->Mkdir(cred_, op.path, 0755));
+    case Op::Kind::kRmdir:
+      return Code(fs_->Rmdir(cred_, op.path));
+    case Op::Kind::kRename:
+      return Code(fs_->Rename(cred_, op.path, op.path2));
+    case Op::Kind::kAppend:
+    case Op::Kind::kFsync: {
+      auto it = appends_.find(op.path);
+      if (it == appends_.end()) {
+        auto fd = fs_->Open(cred_, op.path, vfs::kWrite | vfs::kAppend, 0);
+        if (!fd.ok()) {
+          return fd.error();
+        }
+        it = appends_.emplace(op.path, *fd).first;
+      }
+      if (op.kind == Op::Kind::kFsync) {
+        return Code(fs_->Fsync(it->second));
+      }
+      return Written(fs_->Write(it->second, op.data.data(), op.data.size()), op.data.size());
+    }
+  }
+  return Err::kInval;
+}
+
+void Executor::CloseAll() {
+  for (const auto& [path, fd] : appends_) {
+    fs_->Close(fd);
+  }
+  appends_.clear();
+}
+
+// ---------------------------------------------------------------------------
+// Model
+
+const std::string* Model::Content(const std::string& path) const {
+  auto it = files_.find(path);
+  return it == files_.end() ? nullptr : &it->second.content;
+}
+
+void Model::DurableOnFsync(const std::string& path) {
+  auto it = files_.find(path);
+  if (it != files_.end()) {
+    it->second.synced = it->second.content;
+  }
+}
+
+Err Model::Apply(const Op& op) {
+  const std::string& p = op.path;
+  auto file = files_.find(p);
+  // The code of an op that needs a file at `p`.
+  const Err need_file = IsDir(p) ? Err::kIsDir : file == files_.end() ? Err::kNoEnt : Err::kOk;
+  switch (op.kind) {
+    case Op::Kind::kCreate:
+      if (!IsDir(Parent(p))) {
+        return Err::kNoEnt;
+      }
+      if (IsDir(p)) {
+        return Err::kIsDir;
+      }
+      files_.try_emplace(p);  // open(O_CREAT) of an existing file succeeds
+      return Err::kOk;
+    case Op::Kind::kWrite:
+    case Op::Kind::kAppend: {
+      if (need_file != Err::kOk) {
+        return need_file;
+      }
+      std::string& content = file->second.content;
+      const uint64_t off = op.kind == Op::Kind::kAppend ? content.size() : op.off;
+      if (content.size() < off + op.data.size()) {
+        content.resize(off + op.data.size(), '\0');
+      }
+      content.replace(off, op.data.size(), op.data);
+      return Err::kOk;
+    }
+    case Op::Kind::kFsync:
+      if (need_file == Err::kOk && file->second.synced) {
+        file->second.synced = file->second.content;
+      }
+      return need_file;
+    case Op::Kind::kUnlink:
+      if (need_file == Err::kOk) {
+        files_.erase(file);
+      }
+      return need_file;
+    case Op::Kind::kMkdir:
+      if (IsDir(p) || file != files_.end()) {
+        return Err::kExist;
+      }
+      if (!IsDir(Parent(p))) {
+        return Err::kNoEnt;
+      }
+      dirs_.insert(p);
+      return Err::kOk;
+    case Op::Kind::kRmdir: {
+      if (dirs_.count(p) == 0) {
+        return file != files_.end() ? Err::kNotDir : Err::kNoEnt;
+      }
+      const std::string below = p + "/";
+      auto d = dirs_.lower_bound(below);
+      auto f = files_.lower_bound(below);
+      if ((d != dirs_.end() && StartsWith(*d, below)) ||
+          (f != files_.end() && StartsWith(f->first, below))) {
+        return Err::kNotEmpty;
+      }
+      dirs_.erase(p);
+      return Err::kOk;
+    }
+    case Op::Kind::kRename:
+      if (need_file != Err::kOk) {
+        return need_file;
+      }
+      if (!IsDir(Parent(op.path2))) {
+        return Err::kNoEnt;
+      }
+      if (IsDir(op.path2)) {
+        return Err::kIsDir;
+      }
+      if (op.path2 != p) {
+        files_[op.path2] = std::move(file->second);
+        files_.erase(file);
+      }
+      return Err::kOk;
+  }
+  return Err::kInval;
 }
 
 }  // namespace testbed

@@ -18,8 +18,9 @@
 //               check.
 //
 // The module also holds the oracles more than one campaign needs: a
-// whole-file read, the page-diff containment check and a deterministic
-// worker fan-out.
+// whole-file read, a tree walk, the page-diff containment check, a
+// deterministic worker fan-out and the op kit (an op type, its executor and
+// the reference model).
 
 #ifndef SRC_TESTBED_TESTBED_H_
 #define SRC_TESTBED_TESTBED_H_
@@ -27,10 +28,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/common/result.h"
 #include "src/fslib/fslib.h"
 #include "src/kernfs/kernfs.h"
 #include "src/nvm/nvm.h"
@@ -95,6 +101,12 @@ class Stack {
 int ReadFile(vfs::FileSystem* fs, const vfs::Cred& cred, const std::string& path,
              std::string* out);
 
+// Walks the tree below directory `dir`, adding the path of every directory
+// to *dirs and of every other entry to *files. A failed readdir stops the
+// walk: it returns false with *err naming the directory and the error.
+bool Walk(vfs::FileSystem* fs, const vfs::Cred& cred, const std::string& dir,
+          std::set<std::string>* files, std::set<std::string>* dirs, std::string* err);
+
 // The page-diff containment oracle: the pages of [0, num_pages) whose bytes
 // differ between the two device images and that `may_change` does not allow,
 // in ascending order.
@@ -107,6 +119,88 @@ std::vector<uint64_t> EscapedPages(const uint8_t* before, const uint8_t* after,
 // body(lo, hi) runs each chunk on a thread of its own. A caller that writes
 // results by item index gets the same results whatever the thread count.
 void FanOut(size_t n, int threads, const std::function<void(size_t lo, size_t hi)>& body);
+
+// One file-system operation on paths.
+struct Op {
+  enum class Kind { kCreate, kWrite, kUnlink, kMkdir, kRmdir, kRename, kAppend, kFsync };
+  Kind kind;
+  std::string path;
+  std::string path2{};   // rename destination
+  uint16_t mode = 0644;  // create
+  uint64_t off = 0;      // write
+  std::string data{};    // write and append payload
+
+  static Op Create(std::string path, uint16_t mode) {
+    return {.kind = Kind::kCreate, .path = std::move(path), .mode = mode};
+  }
+  static Op Write(std::string path, uint64_t off, std::string data) {
+    return {.kind = Kind::kWrite, .path = std::move(path), .off = off, .data = std::move(data)};
+  }
+  static Op Append(std::string path, std::string data) {
+    return {.kind = Kind::kAppend, .path = std::move(path), .data = std::move(data)};
+  }
+  static Op Rename(std::string from, std::string to) {
+    return {.kind = Kind::kRename, .path = std::move(from), .path2 = std::move(to)};
+  }
+  // kUnlink, kMkdir, kRmdir or kFsync of `path`.
+  static Op On(Kind kind, std::string path) { return {.kind = kind, .path = std::move(path)}; }
+};
+
+// Runs ops on one file system as one process. Each op is the vfs calls of
+// its system call: create is open(O_CREAT) and close, write is open, pwrite
+// and close, mkdir uses mode 0755. Appends to a path share one O_APPEND
+// descriptor kept open across ops (a close may be a durability point, as in
+// FSLib, and would drain what an append workload keeps staged), and an
+// fsync syncs that descriptor, opening it if no append did.
+class Executor {
+ public:
+  Executor(vfs::FileSystem* fs, vfs::Cred cred) : fs_(fs), cred_(cred) {}
+
+  // Runs `op` and returns the call's code. A short write fails with EIO.
+  common::Err Run(const Op& op);
+  // Closes the append descriptors, in path order (nothing else does).
+  void CloseAll();
+
+ private:
+  vfs::FileSystem* fs_;
+  vfs::Cred cred_;
+  std::map<std::string, vfs::Fd> appends_;
+};
+
+// The reference file system: every directory and every file's content.
+// Advisory state (modes, mtimes, link counts) is not modelled, and renames
+// move files only: a directory source predicts EISDIR.
+//
+// A file is durable on return, as in a synchronous file system, unless it is
+// marked DurableOnFsync: then its writes and appends are durable only once a
+// later fsync returns (the POSIX contract of ZoFS's staged appends).
+class Model {
+ public:
+  struct File {
+    std::string content;
+    // For a DurableOnFsync file, its content as of the last fsync.
+    std::optional<std::string> synced;
+  };
+
+  // Returns the code POSIX predicts for `op` and, when that is kOk, applies
+  // the op.
+  common::Err Apply(const Op& op);
+  // Makes `path`, if it is a file, durable only at fsync; its content so
+  // far counts as synced.
+  void DurableOnFsync(const std::string& path);
+
+  // Every directory but "/".
+  const std::set<std::string>& dirs() const { return dirs_; }
+  const std::map<std::string, File>& files() const { return files_; }
+  // The content of the file at `path`, null when there is none.
+  const std::string* Content(const std::string& path) const;
+
+ private:
+  bool IsDir(const std::string& path) const { return path == "/" || dirs_.count(path) != 0; }
+
+  std::set<std::string> dirs_;
+  std::map<std::string, File> files_;
+};
 
 }  // namespace testbed
 

@@ -1,125 +1,23 @@
 // Model-checking property test: a long random sequence of namespace + data
-// operations executed in lock-step against ZoFS (and LogFS) and a trivial
-// in-memory reference model. Every operation's result code and every read's
-// bytes must match the model exactly.
+// operations executed in lock-step against ZoFS (and LogFS, NOVA) and the
+// testbed reference model. Every operation's error code, every read's bytes
+// and, at the end, the whole tree must match the model exactly.
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <memory>
-#include <optional>
 #include <set>
 #include <string>
 
 #include "src/common/rand.h"
 #include "src/harness/fslab.h"
 #include "src/mpk/mpk.h"
+#include "src/testbed/testbed.h"
 
 namespace {
 
 using common::Err;
 using harness::FsKind;
-
-// The reference: paths -> file contents; directories as a path set.
-class RefModel {
- public:
-  RefModel() { dirs_.insert("/"); }
-
-  bool DirExists(const std::string& p) const { return dirs_.count(p) > 0; }
-  bool FileExists(const std::string& p) const { return files_.count(p) > 0; }
-
-  Err Mkdir(const std::string& p) {
-    if (DirExists(p) || FileExists(p)) {
-      return Err::kExist;
-    }
-    if (!DirExists(Parent(p))) {
-      return Err::kNoEnt;
-    }
-    dirs_.insert(p);
-    return Err::kOk;
-  }
-
-  Err Create(const std::string& p) {
-    if (!DirExists(Parent(p))) {
-      return Err::kNoEnt;
-    }
-    if (DirExists(p)) {
-      return Err::kIsDir;
-    }
-    files_.try_emplace(p);  // open(O_CREAT) on existing file succeeds
-    return Err::kOk;
-  }
-
-  Err Write(const std::string& p, uint64_t off, const std::string& data) {
-    auto it = files_.find(p);
-    if (it == files_.end()) {
-      return Err::kNoEnt;
-    }
-    std::string& content = it->second;
-    if (content.size() < off + data.size()) {
-      content.resize(off + data.size(), '\0');
-    }
-    content.replace(off, data.size(), data);
-    return Err::kOk;
-  }
-
-  Err Unlink(const std::string& p) {
-    if (DirExists(p)) {
-      return Err::kIsDir;
-    }
-    return files_.erase(p) > 0 ? Err::kOk : Err::kNoEnt;
-  }
-
-  Err Rmdir(const std::string& p) {
-    if (!DirExists(p)) {
-      return FileExists(p) ? Err::kNotDir : Err::kNoEnt;
-    }
-    for (const auto& d : dirs_) {
-      if (d != p && d.compare(0, p.size() + 1, p + "/") == 0) {
-        return Err::kNotEmpty;
-      }
-    }
-    for (const auto& [f, c] : files_) {
-      if (f.compare(0, p.size() + 1, p + "/") == 0) {
-        return Err::kNotEmpty;
-      }
-    }
-    dirs_.erase(p);
-    return Err::kOk;
-  }
-
-  Err Rename(const std::string& from, const std::string& to) {
-    // Only file renames in this model (directory moves excluded from the
-    // random mix to keep the reference simple).
-    auto it = files_.find(from);
-    if (it == files_.end()) {
-      return Err::kNoEnt;
-    }
-    if (!DirExists(Parent(to)) || DirExists(to)) {
-      return Err::kNoEnt;  // treated as failure; generator avoids dir targets
-    }
-    std::string content = std::move(it->second);
-    files_.erase(it);
-    files_[to] = std::move(content);
-    return Err::kOk;
-  }
-
-  const std::string* Content(const std::string& p) const {
-    auto it = files_.find(p);
-    return it == files_.end() ? nullptr : &it->second;
-  }
-
-  const std::map<std::string, std::string>& files() const { return files_; }
-
- private:
-  static std::string Parent(const std::string& p) {
-    size_t pos = p.rfind('/');
-    return pos == 0 ? "/" : p.substr(0, pos);
-  }
-
-  std::set<std::string> dirs_;
-  std::map<std::string, std::string> files_;
-};
+using testbed::Op;
 
 class ModelCheckTest : public ::testing::TestWithParam<FsKind> {
  protected:
@@ -135,58 +33,48 @@ TEST_P(ModelCheckTest, RandomOpsMatchReference) {
   harness::FsLab lab(GetParam(), lo);
   vfs::FileSystem* fs = lab.View(0);
   const vfs::Cred cred{0, 0};
-  RefModel model;
+  testbed::Executor exec(fs, cred);
+  testbed::Model model;
   common::Rng rng(GetParam() == FsKind::kZofs ? 71 : 72);
 
   auto rand_dir = [&]() {
-    int d = rng.Below(4);
+    int d = rng.Below(6);
     return d == 0 ? std::string("/") : "/d" + std::to_string(d);
   };
   auto rand_path = [&]() {
     std::string dir = rand_dir();
     return (dir == "/" ? "" : dir) + "/f" + std::to_string(rng.Below(25));
   };
+  auto name = [](Err e) { return std::string(common::ErrName(e)); };
+  auto code = [&](const auto& r) { return name(r.ok() ? Err::kOk : r.error()); };
+  // Runs `op` on the file system and the model; the codes must agree.
+  auto run = [&](const Op& op, int i) {
+    const Err want = model.Apply(op);
+    EXPECT_EQ(name(exec.Run(op)), name(want))
+        << i << " " << op.path << (op.kind == Op::Kind::kRename ? " -> " + op.path2 : "");
+  };
 
   for (int d = 1; d <= 3; d++) {
-    std::string p = "/d" + std::to_string(d);
-    EXPECT_EQ(model.Mkdir(p), Err::kOk);
-    EXPECT_TRUE(fs->Mkdir(cred, p, 0755).ok());
+    run(Op::On(Op::Kind::kMkdir, "/d" + std::to_string(d)), -1);
   }
 
   const int kOps = 2500;
   for (int i = 0; i < kOps; i++) {
-    switch (rng.Below(6)) {
-      case 0: {  // create (possibly existing)
-        std::string p = rand_path();
-        Err want = model.Create(p);
-        auto fd = fs->Open(cred, p, vfs::kCreate | vfs::kWrite, 0644);
-        EXPECT_EQ(fd.ok(), want == Err::kOk) << i << " create " << p;
-        if (fd.ok()) {
-          fs->Close(*fd);
-        }
+    switch (rng.Below(8)) {
+      case 0:  // create (possibly existing)
+        run(Op::Create(rand_path(), 0644), i);
         break;
-      }
       case 1: {  // write a random extent
         std::string p = rand_path();
         uint64_t off = rng.Below(30000);
-        std::string data = rng.AlnumString(1 + rng.Below(8000));
-        Err want = model.Write(p, off, data);
-        auto fd = fs->Open(cred, p, vfs::kWrite, 0);
-        if (want == Err::kOk) {
-          ASSERT_TRUE(fd.ok()) << i << " open-for-write " << p;
-          auto w = fs->Pwrite(*fd, data.data(), data.size(), off);
-          ASSERT_TRUE(w.ok()) << i;
-          fs->Close(*fd);
-        } else {
-          EXPECT_FALSE(fd.ok()) << i << " phantom file " << p;
-        }
+        run(Op::Write(p, off, rng.AlnumString(1 + rng.Below(8000))), i);
         break;
       }
       case 2: {  // read-and-compare a random window
         std::string p = rand_path();
         const std::string* want = model.Content(p);
         auto fd = fs->Open(cred, p, vfs::kRead, 0);
-        EXPECT_EQ(fd.ok(), want != nullptr) << i << " open " << p;
+        EXPECT_EQ(code(fd), name(want != nullptr ? Err::kOk : Err::kNoEnt)) << i << " open " << p;
         if (fd.ok() && want != nullptr) {
           uint64_t off = rng.Below(want->size() + 100);
           std::string buf(4000, '\1');
@@ -201,52 +89,50 @@ TEST_P(ModelCheckTest, RandomOpsMatchReference) {
         }
         break;
       }
-      case 3: {  // unlink
-        std::string p = rand_path();
-        Err want = model.Unlink(p);
-        auto st = fs->Unlink(cred, p);
-        EXPECT_EQ(st.ok(), want == Err::kOk) << i << " unlink " << p;
+      case 3:  // unlink
+        run(Op::On(Op::Kind::kUnlink, rand_path()), i);
         break;
-      }
-      case 4: {  // rename file -> file
+      case 4: {  // rename file -> file, possibly over an existing one
         std::string from = rand_path();
         std::string to = rand_path();
-        if (from == to) {
-          break;
+        if (from != to) {
+          run(Op::Rename(from, to), i);
         }
-        // Skip cases the simple model doesn't capture (overwrite targets).
-        if (model.Content(to) != nullptr) {
-          break;
-        }
-        Err want = model.Rename(from, to);
-        auto st = fs->Rename(cred, from, to);
-        EXPECT_EQ(st.ok(), want == Err::kOk) << i << " rename " << from << "->" << to;
         break;
       }
       case 5: {  // stat agrees on size
         std::string p = rand_path();
         const std::string* want = model.Content(p);
         auto st = fs->Stat(cred, p);
-        EXPECT_EQ(st.ok(), want != nullptr) << i << " stat " << p;
+        EXPECT_EQ(code(st), name(want != nullptr ? Err::kOk : Err::kNoEnt)) << i << " stat " << p;
         if (st.ok() && want != nullptr) {
           EXPECT_EQ(st->size, want->size()) << i << " size of " << p;
         }
         break;
       }
+      case 6:
+        run(Op::On(Op::Kind::kMkdir, "/d" + std::to_string(1 + rng.Below(5))), i);
+        break;
+      case 7:
+        run(Op::On(Op::Kind::kRmdir, "/d" + std::to_string(1 + rng.Below(5))), i);
+        break;
     }
   }
 
-  // Final sweep: every model file readable with exact contents.
-  for (const auto& [path, content] : model.files()) {
-    auto fd = fs->Open(cred, path, vfs::kRead, 0);
-    ASSERT_TRUE(fd.ok()) << path;
-    std::string buf(content.size(), '\0');
-    auto r = fs->Pread(*fd, buf.data(), buf.size(), 0);
-    ASSERT_TRUE(r.ok());
-    ASSERT_EQ(*r, content.size()) << path;
-    EXPECT_EQ(buf, content) << path;
-    fs->Close(*fd);
+  // Final sweep: the tree holds exactly the model's paths, and every file
+  // reads back with exact contents.
+  std::set<std::string> files;
+  std::set<std::string> dirs;
+  std::string err;
+  ASSERT_TRUE(testbed::Walk(fs, cred, "/", &files, &dirs, &err)) << err;
+  EXPECT_EQ(dirs, model.dirs());
+  for (const auto& [path, f] : model.files()) {
+    std::string got;
+    ASSERT_EQ(files.erase(path), 1u) << path << " missing";
+    ASSERT_EQ(testbed::ReadFile(fs, cred, path, &got), 1) << path;
+    EXPECT_EQ(got, f.content) << path;
   }
+  EXPECT_TRUE(files.empty()) << *files.begin() << " is not in the model";
   if (lab.kernfs() != nullptr) {
     EXPECT_TRUE(lab.kernfs()->CheckAllocTableForTest().empty())
         << lab.kernfs()->CheckAllocTableForTest();

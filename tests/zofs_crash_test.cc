@@ -181,13 +181,21 @@ TEST_F(ZofsCrashTest, AppendTruncateAndRegrowAcrossBlockMapBoundaries) {
 }
 
 TEST_F(ZofsCrashTest, RandomOpsWithCrashKeepInvariants) {
-  // Property test: random operations, crash at a random point, reboot +
-  // fsck, then (a) every file that was fully created before the crash and
-  // never removed must resolve, (b) the allocation table must be
-  // consistent, (c) a full tree walk must not fault.
+  // Property test: random operations, each one's code checked against the
+  // reference model, then a crash, reboot + fsck, and (a) the tree holds
+  // exactly the model's files and directories, each file with exactly the
+  // model's content (ZoFS is synchronous: every op that returned is
+  // durable), (b) the allocation table is consistent, (c) the full tree
+  // walk succeeds.
   common::Rng rng(2024);
-  std::set<std::string> live;
-  ASSERT_TRUE(fs_->Mkdir(cred, "/w", 0755).ok());
+  testbed::Model model;
+  auto run = [&](const testbed::Op& op) {
+    const Err want = model.Apply(op);
+    EXPECT_EQ(common::ErrName(testbed::Executor(fs_, cred).Run(op)),
+              std::string(common::ErrName(want)))
+        << op.path;
+  };
+  run(testbed::Op::On(testbed::Op::Kind::kMkdir, "/w"));
 
   for (int round = 0; round < 5; round++) {
     const int ops = 120;
@@ -195,44 +203,36 @@ TEST_F(ZofsCrashTest, RandomOpsWithCrashKeepInvariants) {
       std::string name = "/w/f" + std::to_string(rng.Below(60));
       switch (rng.Below(4)) {
         case 0: {
-          auto fd = fs_->Open(cred, name, vfs::kCreate | vfs::kWrite, 0644);
-          if (fd.ok()) {
-            std::vector<uint8_t> data(rng.Below(20000));
-            rng.Fill(data.data(), data.size());
-            fs_->Pwrite(*fd, data.data(), data.size(), 0);
-            fs_->Close(*fd);
-            live.insert(name);
-          }
+          run(testbed::Op::Create(name, 0644));
+          std::string data(rng.Below(20000), '\0');
+          rng.Fill(data.data(), data.size());
+          run(testbed::Op::Write(name, 0, std::move(data)));
           break;
         }
         case 1:
-          if (fs_->Unlink(cred, name).ok()) {
-            live.erase(name);
-          }
+          run(testbed::Op::On(testbed::Op::Kind::kUnlink, name));
           break;
-        case 2: {
-          auto fd = fs_->Open(cred, name, vfs::kWrite, 0);
-          if (fd.ok()) {
-            std::vector<uint8_t> data(4096);
-            fs_->Pwrite(*fd, data.data(), data.size(), rng.Below(8) * 4096);
-            fs_->Close(*fd);
-          }
+        case 2:
+          run(testbed::Op::Write(name, rng.Below(8) * 4096, std::string(4096, '\0')));
           break;
-        }
         case 3:
-          fs_->Stat(cred, name);
+          EXPECT_EQ(fs_->Stat(cred, name).ok(), model.Content(name) != nullptr) << name;
           break;
       }
     }
     CrashAndReboot();
-    // (a) completed creations survive.
-    for (const std::string& name : live) {
-      EXPECT_TRUE(fs_->Stat(cred, name).ok()) << name << " lost after crash";
+    std::set<std::string> files;
+    std::set<std::string> dirs;
+    std::string err;
+    ASSERT_TRUE(testbed::Walk(fs_, cred, "/", &files, &dirs, &err)) << err;
+    EXPECT_EQ(dirs, model.dirs());
+    for (const auto& [path, f] : model.files()) {
+      std::string got;
+      ASSERT_EQ(files.erase(path), 1u) << path << " lost after crash";
+      ASSERT_EQ(testbed::ReadFile(fs_, cred, path, &got), 1) << path;
+      EXPECT_EQ(got, f.content) << path << " changed by the crash";
     }
-    // (c) full-tree walk with no faults.
-    auto entries = fs_->ReadDir(cred, "/w");
-    ASSERT_TRUE(entries.ok());
-    EXPECT_GE(entries->size(), live.size());
+    EXPECT_TRUE(files.empty()) << *files.begin() << " is not in the model";
   }
 }
 

@@ -6,7 +6,11 @@
 #
 # PARENT_BUILD and CHANGE_BUILD are CMake build directories (for example one
 # of a clone of the parent commit and one of the change). The oracles:
-#   * crash_explore --ops=100 --max-points=200 --json, all seven workloads;
+#   * crash_explore --ops=100 --max-points=200 --json, all seven workloads,
+#     and MWRL and MIXED again with the planted pre-fix rename
+#     (--legacy-rename-overwrite; exit 1 by design), the only sweeps whose
+#     reports list violations, so a change in how the durability oracle
+#     finds or describes one shows;
 #   * fault_inject --seed=42 --threads=4 --json; on a DIFF, the trials whose
 #     outcome or detail moved are listed one per line, joined by trial id,
 #     with whether any moved to silent-data, hang, crash or escape;
@@ -107,6 +111,10 @@ for side in parent change; do
     report "$build" "$OUT/$side.crash.$wl" crash_explore --workload=$wl --ops=100 \
       --max-points=200 --json
   done
+  for wl in MWRL MIXED; do
+    report "$build" "$OUT/$side.crash-legacy.$wl" crash_explore --workload=$wl --ops=100 \
+      --max-points=200 --legacy-rename-overwrite --json
+  done
   report "$build" "$OUT/$side.fault" fault_inject --seed=42 --threads=4 --json
   report "$build" "$OUT/$side.fault-raw" fault_inject --seed=42 --threads=4 --raw-deref --json
   report "$build" "$OUT/$side.soak" zofs_soak --seed=42 --json
@@ -122,6 +130,9 @@ done
 echo "oracle parity: $PARENT vs $CHANGE"
 for wl in DWOL DWAL CHURN MWCL MWUL MWRL MIXED; do
   compare "crash_explore $wl" "crash.$wl"
+done
+for wl in MWRL MIXED; do
+  compare "crash_explore $wl legacy-rename" "crash-legacy.$wl"
 done
 compare "fault_inject" fault
 compare "fault_inject --raw-deref" fault-raw
